@@ -1,10 +1,11 @@
 //===- bench_delaychain.cpp - Figures 2/8/9: the parametric delay chain -------===//
 ///
 /// The paper's running example: the delayn flexible hierarchical module.
-/// Sweeps the chain length n, showing that a one-parameter change
-/// re-elaborates arbitrarily large structures (the thing Figure 2's
-/// static-structural system cannot express), and cross-checks each
-/// generated simulator's output against the hand-coded chain.
+/// Sweeps the chain length n up to 3000, showing that a one-parameter
+/// change re-elaborates arbitrarily large structures (the thing Figure 2's
+/// static-structural system cannot express) in time linear in n, and
+/// cross-checks each generated simulator's output against the hand-coded
+/// chain.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,12 +44,12 @@ chain.out -> hole.in;
 
 int main() {
   std::printf("=== Figures 2/8/9: parametric n-stage delay chain ===\n\n");
-  std::printf("%8s %10s %12s %12s %14s %8s\n", "n", "instances",
-              "elab(ms)", "sim(ms)", "sink value", "check");
+  std::printf("%8s %10s %12s %12s %12s %14s %8s\n", "n", "instances",
+              "compile(ms)", "elab(ms)", "sim(ms)", "sink value", "check");
 
   const uint64_t Cycles = 2000;
   bool AllOk = true;
-  for (int N : {1, 3, 10, 100, 1000}) {
+  for (int N : {1, 3, 10, 100, 1000, 3000}) {
     auto T0 = std::chrono::steady_clock::now();
     driver::CompilerInvocation Inv;
     Inv.addSource("delaychain.lss", delayChainSpec(N));
@@ -72,9 +73,11 @@ int main() {
     auto Ms = [](auto D) {
       return std::chrono::duration<double, std::milli>(D).count();
     };
-    std::printf("%8d %10zu %12.2f %12.2f %14lld %8s\n", N,
+    const PhaseTimer::Phase *Elab =
+        C->getPhaseTimer().findPhase("elaborate");
+    std::printf("%8d %10zu %12.2f %12.2f %12.2f %14lld %8s\n", N,
                 C->getNetlist()->getInstances().size() - 1, Ms(T1 - T0),
-                Ms(T2 - T1),
+                Elab ? Elab->WallMs : -1.0, Ms(T2 - T1),
                 Out && Out->isInt() ? (long long)Out->getInt() : -1,
                 Ok ? "ok" : "MISMATCH");
   }

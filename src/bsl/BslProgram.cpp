@@ -54,6 +54,11 @@ public:
 private:
   Flow exec(const Stmt *S);
   Value eval(const Expr *E);
+  /// Evaluates an Ident/Index/Member chain by reference into the locals,
+  /// arguments, runtime variables or parameters (any other expression
+  /// into \p Tmp), counting steps exactly as eval() does. Sound because
+  /// evaluating an expression never mutates that environment.
+  const Value *evalRef(const Expr *E, Value &Tmp);
   Value *lookup(const std::string &Name);
   Value *resolveLValue(const Expr *E);
 
@@ -236,7 +241,68 @@ Flow BslExec::exec(const Stmt *S) {
   }
 }
 
+const Value *BslExec::evalRef(const Expr *E, Value &Tmp) {
+  // As in the elaboration interpreter: a computed result goes into Tmp,
+  // after its argument has read any base that lives there.
+  auto Result = [&Tmp](Value V) {
+    Tmp = std::move(V);
+    return &Tmp;
+  };
+  switch (E->getKind()) {
+  case Expr::Kind::Ident: {
+    ++Steps;
+    if (Value *V = lookup(cast<IdentExpr>(E)->getName()))
+      return V;
+    Diags.error(E->getLoc(), "use of undefined name '" +
+                                 cast<IdentExpr>(E)->getName() +
+                                 "' in userpoint");
+    return Result(Value());
+  }
+  case Expr::Kind::Member: {
+    ++Steps;
+    const auto *M = cast<MemberExpr>(E);
+    const Value *Base = evalRef(M->getBase(), Tmp);
+    if (Base->isStruct()) {
+      if (const Value *F = Base->getField(M->getMember()))
+        return F;
+      Diags.error(E->getLoc(), "no field named '" + M->getMember() + "'");
+      return Result(Value());
+    }
+    if (!Base->isUnset())
+      Diags.error(E->getLoc(), "cannot access member of " + Base->str());
+    return Result(Value());
+  }
+  case Expr::Kind::Index: {
+    ++Steps;
+    const auto *I = cast<IndexExpr>(E);
+    const Value *Base = evalRef(I->getBase(), Tmp);
+    Value Idx = eval(I->getIndex());
+    if (!Base->isArray() || !Idx.isInt()) {
+      if (!Base->isUnset() && !Idx.isUnset())
+        Diags.error(E->getLoc(), "invalid indexing in userpoint");
+      return Result(Value());
+    }
+    const auto &Elems = Base->getElems();
+    int64_t N = Idx.getInt();
+    if (N < 0 || N >= static_cast<int64_t>(Elems.size())) {
+      Diags.error(E->getLoc(), "array index out of bounds in userpoint");
+      return Result(Value());
+    }
+    return &Elems[N];
+  }
+  default:
+    return Result(eval(E));
+  }
+}
+
 Value BslExec::eval(const Expr *E) {
+  if (isa<IdentExpr>(E) || isa<MemberExpr>(E) || isa<IndexExpr>(E)) {
+    Value Tmp;
+    const Value *V = evalRef(E, Tmp);
+    if (V == &Tmp)
+      return Tmp;
+    return *V;
+  }
   ++Steps;
   switch (E->getKind()) {
   case Expr::Kind::IntLit:
@@ -247,44 +313,6 @@ Value BslExec::eval(const Expr *E) {
     return Value::makeString(cast<StringLitExpr>(E)->getValue());
   case Expr::Kind::BoolLit:
     return Value::makeBool(cast<BoolLitExpr>(E)->getValue());
-  case Expr::Kind::Ident: {
-    if (Value *V = lookup(cast<IdentExpr>(E)->getName()))
-      return *V;
-    Diags.error(E->getLoc(), "use of undefined name '" +
-                                 cast<IdentExpr>(E)->getName() +
-                                 "' in userpoint");
-    return Value();
-  }
-  case Expr::Kind::Member: {
-    const auto *M = cast<MemberExpr>(E);
-    Value Base = eval(M->getBase());
-    if (Base.isStruct()) {
-      if (const Value *F = Base.getField(M->getMember()))
-        return *F;
-      Diags.error(E->getLoc(), "no field named '" + M->getMember() + "'");
-      return Value();
-    }
-    if (!Base.isUnset())
-      Diags.error(E->getLoc(), "cannot access member of " + Base.str());
-    return Value();
-  }
-  case Expr::Kind::Index: {
-    const auto *I = cast<IndexExpr>(E);
-    Value Base = eval(I->getBase());
-    Value Idx = eval(I->getIndex());
-    if (!Base.isArray() || !Idx.isInt()) {
-      if (!Base.isUnset() && !Idx.isUnset())
-        Diags.error(E->getLoc(), "invalid indexing in userpoint");
-      return Value();
-    }
-    const auto &Elems = Base.getElems();
-    int64_t N = Idx.getInt();
-    if (N < 0 || N >= static_cast<int64_t>(Elems.size())) {
-      Diags.error(E->getLoc(), "array index out of bounds in userpoint");
-      return Value();
-    }
-    return Elems[N];
-  }
   case Expr::Kind::Call: {
     const auto *C = cast<CallExpr>(E);
     std::vector<Value> Args;

@@ -579,9 +579,10 @@ void Interpreter::execAssign(BodyState &BS, const AssignStmt *S) {
   // Case 2: sub-instance field — record a potential parameter assignment
   // in the B context (consumed when the child's body runs).
   if (const auto *M = dyn_cast<MemberExpr>(S->getLHS())) {
-    Value Base = evalExpr(BS, M->getBase());
-    if (Base.isInstanceRef()) {
-      netlist::InstanceNode *Child = Base.getInstance();
+    Value Tmp;
+    const Value *Base = evalRef(BS, M->getBase(), Tmp);
+    if (Base->isInstanceRef()) {
+      netlist::InstanceNode *Child = Base->getInstance();
       if (Child->Parent != BS.Node) {
         Diags.error(S->getLoc(),
                     "can only parameterize direct sub-instances");
@@ -704,7 +705,113 @@ void Interpreter::resolveSelfEndpoint(BodyState &BS,
   Ref.Index = Index;
 }
 
+const Value *Interpreter::evalRef(BodyState &BS, const Expr *E, Value &Tmp) {
+  // A computed result goes into Tmp. The argument is built before Tmp is
+  // overwritten, so it may still read a base that lives in Tmp.
+  auto Result = [&Tmp](Value V) {
+    Tmp = std::move(V);
+    return &Tmp;
+  };
+  switch (E->getKind()) {
+  case Expr::Kind::Ident: {
+    ++Steps;
+    const auto *Id = cast<IdentExpr>(E);
+    if (Value *V = BS.E.lookup(Id->getName()))
+      return V;
+    Diags.error(E->getLoc(), "use of undefined name '" + Id->getName() + "'");
+    return Result(Value());
+  }
+  case Expr::Kind::Member: {
+    ++Steps;
+    const auto *M = cast<MemberExpr>(E);
+    const Value *Base = evalRef(BS, M->getBase(), Tmp);
+    if (Base->isPort()) {
+      const PortHandle &H = Base->getPort();
+      if (M->getMember() == "width") {
+        if (!H.OnSelf) {
+          Diags.error(E->getLoc(), "a port's width is only available inside "
+                                   "its own module body");
+          return Result(Value());
+        }
+        const netlist::Port *P = BS.Node->findPort(H.Port);
+        assert(P && "self port handle without declared port");
+        return Result(Value::makeInt(P->Width));
+      }
+      Diags.error(E->getLoc(),
+                  "unknown port attribute '" + M->getMember() + "'");
+      return Result(Value());
+    }
+    if (Base->isInstanceRef()) {
+      // A sub-instance member in expression position denotes one of its
+      // ports (whose existence is verified when the child's body runs).
+      PortHandle H;
+      H.Inst = Base->getInstance();
+      H.Port = M->getMember();
+      H.OnSelf = false;
+      return Result(Value::makePort(std::move(H)));
+    }
+    if (Base->isStruct()) {
+      if (const Value *F = Base->getField(M->getMember()))
+        return F;
+      Diags.error(E->getLoc(), "no field named '" + M->getMember() + "'");
+      return Result(Value());
+    }
+    if (!Base->isUnset())
+      Diags.error(E->getLoc(), "cannot access member '" + M->getMember() +
+                                   "' of " + Base->str());
+    return Result(Value());
+  }
+  case Expr::Kind::Index: {
+    ++Steps;
+    const auto *I = cast<IndexExpr>(E);
+    const Value *Base = evalRef(BS, I->getBase(), Tmp);
+    Value Idx = evalExpr(BS, I->getIndex());
+    if (!Idx.isInt()) {
+      if (!Idx.isUnset())
+        Diags.error(I->getIndex()->getLoc(), "index must be an int");
+      return Result(Value());
+    }
+    int64_t N = Idx.getInt();
+    if (Base->isArray()) {
+      const auto &Elems = Base->getElems();
+      if (N < 0 || N >= static_cast<int64_t>(Elems.size())) {
+        Diags.error(E->getLoc(), "array index " + std::to_string(N) +
+                                     " out of bounds (size " +
+                                     std::to_string(Elems.size()) + ")");
+        return Result(Value());
+      }
+      return &Elems[N];
+    }
+    if (Base->isPort()) {
+      PortHandle H = Base->getPort();
+      if (H.hasIndex()) {
+        Diags.error(E->getLoc(), "port instance already selected");
+        return Result(Value());
+      }
+      if (N < 0) {
+        Diags.error(E->getLoc(), "port instance index must be non-negative");
+        return Result(Value());
+      }
+      H.Index = static_cast<int>(N);
+      return Result(Value::makePort(std::move(H)));
+    }
+    if (!Base->isUnset())
+      Diags.error(E->getLoc(), "cannot index " + Base->str());
+    return Result(Value());
+  }
+  default:
+    return Result(evalExpr(BS, E));
+  }
+}
+
 Value Interpreter::evalExpr(BodyState &BS, const Expr *E) {
+  if (isa<IdentExpr>(E) || isa<MemberExpr>(E) || isa<IndexExpr>(E)) {
+    Value Tmp;
+    const Value *V = evalRef(BS, E, Tmp);
+    if (V == &Tmp)
+      return Tmp;
+    return *V;
+  }
   ++Steps;
   switch (E->getKind()) {
   case Expr::Kind::IntLit:
@@ -715,89 +822,10 @@ Value Interpreter::evalExpr(BodyState &BS, const Expr *E) {
     return Value::makeString(cast<StringLitExpr>(E)->getValue());
   case Expr::Kind::BoolLit:
     return Value::makeBool(cast<BoolLitExpr>(E)->getValue());
-  case Expr::Kind::Ident: {
-    const auto *Id = cast<IdentExpr>(E);
-    if (Value *V = BS.E.lookup(Id->getName()))
-      return *V;
-    Diags.error(E->getLoc(), "use of undefined name '" + Id->getName() + "'");
-    return Value();
-  }
-  case Expr::Kind::Member: {
-    const auto *M = cast<MemberExpr>(E);
-    Value Base = evalExpr(BS, M->getBase());
-    if (Base.isPort()) {
-      const PortHandle &H = Base.getPort();
-      if (M->getMember() == "width") {
-        if (!H.OnSelf) {
-          Diags.error(E->getLoc(), "a port's width is only available inside "
-                                   "its own module body");
-          return Value();
-        }
-        const netlist::Port *P = BS.Node->findPort(H.Port);
-        assert(P && "self port handle without declared port");
-        return Value::makeInt(P->Width);
-      }
-      Diags.error(E->getLoc(),
-                  "unknown port attribute '" + M->getMember() + "'");
-      return Value();
-    }
-    if (Base.isInstanceRef()) {
-      // A sub-instance member in expression position denotes one of its
-      // ports (whose existence is verified when the child's body runs).
-      PortHandle H;
-      H.Inst = Base.getInstance();
-      H.Port = M->getMember();
-      H.OnSelf = false;
-      return Value::makePort(std::move(H));
-    }
-    if (Base.isStruct()) {
-      if (const Value *F = Base.getField(M->getMember()))
-        return *F;
-      Diags.error(E->getLoc(), "no field named '" + M->getMember() + "'");
-      return Value();
-    }
-    if (!Base.isUnset())
-      Diags.error(E->getLoc(), "cannot access member '" + M->getMember() +
-                                   "' of " + Base.str());
-    return Value();
-  }
-  case Expr::Kind::Index: {
-    const auto *I = cast<IndexExpr>(E);
-    Value Base = evalExpr(BS, I->getBase());
-    Value Idx = evalExpr(BS, I->getIndex());
-    if (!Idx.isInt()) {
-      if (!Idx.isUnset())
-        Diags.error(I->getIndex()->getLoc(), "index must be an int");
-      return Value();
-    }
-    int64_t N = Idx.getInt();
-    if (Base.isArray()) {
-      const auto &Elems = Base.getElems();
-      if (N < 0 || N >= static_cast<int64_t>(Elems.size())) {
-        Diags.error(E->getLoc(), "array index " + std::to_string(N) +
-                                     " out of bounds (size " +
-                                     std::to_string(Elems.size()) + ")");
-        return Value();
-      }
-      return Elems[N];
-    }
-    if (Base.isPort()) {
-      PortHandle H = Base.getPort();
-      if (H.hasIndex()) {
-        Diags.error(E->getLoc(), "port instance already selected");
-        return Value();
-      }
-      if (N < 0) {
-        Diags.error(E->getLoc(), "port instance index must be non-negative");
-        return Value();
-      }
-      H.Index = static_cast<int>(N);
-      return Value::makePort(std::move(H));
-    }
-    if (!Base.isUnset())
-      Diags.error(E->getLoc(), "cannot index " + Base.str());
-    return Value();
-  }
+  case Expr::Kind::Ident:
+  case Expr::Kind::Member:
+  case Expr::Kind::Index:
+    break; // Evaluated by evalRef above.
   case Expr::Kind::Call:
     return evalCall(BS, cast<CallExpr>(E));
   case Expr::Kind::NewInstanceArray: {

@@ -161,6 +161,14 @@ private:
   void execConnect(BodyState &BS, const lss::ConnectStmt *S);
 
   Value evalExpr(BodyState &BS, const lss::Expr *E);
+  /// Evaluates \p E by reference: an Ident/Index/Member chain yields a
+  /// pointer into the environment (or into an element of a value held in
+  /// \p Tmp), so indexing never copies its base; any other expression is
+  /// evaluated into \p Tmp. Evaluation order, diagnostics and step counts
+  /// are exactly evalExpr's. The pointer stays valid until the environment
+  /// or \p Tmp next changes; this relies on the invariant that evaluating
+  /// an expression never mutates the environment (only statements do).
+  const Value *evalRef(BodyState &BS, const lss::Expr *E, Value &Tmp);
   Value evalCall(BodyState &BS, const lss::CallExpr *E);
   Value *resolveLValue(BodyState &BS, const lss::Expr *E);
 

@@ -10,60 +10,114 @@
 using namespace liberty;
 using namespace liberty::interp;
 
-Value Value::makeInt(int64_t V) {
-  Value R;
-  R.K = Kind::Int;
-  R.IntVal = V;
-  return R;
-}
+namespace {
 
-Value Value::makeBool(bool V) {
-  Value R;
-  R.K = Kind::Bool;
-  R.BoolVal = V;
-  return R;
-}
+using detail::Payload;
 
-Value Value::makeFloat(double V) {
-  Value R;
-  R.K = Kind::Float;
-  R.FloatVal = V;
-  return R;
-}
+struct StringPayload : Payload {
+  explicit StringPayload(std::string S) : S(std::move(S)) {}
+  std::string S;
+};
+struct ArrayPayload : Payload {
+  explicit ArrayPayload(std::vector<Value> Elems) : Elems(std::move(Elems)) {}
+  std::vector<Value> Elems;
+};
+struct StructPayload : Payload {
+  explicit StructPayload(std::vector<std::pair<std::string, Value>> Fields)
+      : Fields(std::move(Fields)) {}
+  std::vector<std::pair<std::string, Value>> Fields;
+};
+struct PortPayload : Payload {
+  explicit PortPayload(PortHandle H) : H(std::move(H)) {}
+  PortHandle H;
+};
+
+std::atomic<uint64_t> CowCopiedEntries{0};
+
+// Returned by the const accessors on a kind mismatch in release builds, so
+// a mismatched read sees an empty value, never another kind's payload.
+const std::string EmptyString;
+const std::vector<Value> EmptyElems;
+const std::vector<std::pair<std::string, Value>> EmptyFields;
+const PortHandle EmptyPort;
+
+} // namespace
 
 Value Value::makeString(std::string V) {
-  Value R;
-  R.K = Kind::String;
-  R.StrVal = std::move(V);
-  return R;
+  return Value(Kind::String, new StringPayload(std::move(V)));
 }
 
 Value Value::makeArray(std::vector<Value> Elems) {
-  Value R;
-  R.K = Kind::Array;
-  R.Elems = std::move(Elems);
-  return R;
+  return Value(Kind::Array, new ArrayPayload(std::move(Elems)));
 }
 
 Value Value::makeStruct(std::vector<std::pair<std::string, Value>> Fields) {
-  Value R;
-  R.K = Kind::Struct;
-  R.Fields = std::move(Fields);
-  return R;
-}
-
-Value Value::makeInstanceRef(netlist::InstanceNode *Inst) {
-  Value R;
-  R.K = Kind::InstanceRef;
-  R.Inst = Inst;
-  return R;
+  return Value(Kind::Struct, new StructPayload(std::move(Fields)));
 }
 
 Value Value::makePort(PortHandle H) {
-  Value R;
-  R.K = Kind::Port;
-  R.Handle = std::move(H);
-  return R;
+  return Value(Kind::Port, new PortPayload(std::move(H)));
+}
+
+void Value::release() {
+  if (--W.P->Refs != 0)
+    return;
+  switch (K) {
+  case Kind::String:
+    delete static_cast<StringPayload *>(W.P);
+    break;
+  case Kind::Array:
+    delete static_cast<ArrayPayload *>(W.P);
+    break;
+  case Kind::Struct:
+    delete static_cast<StructPayload *>(W.P);
+    break;
+  case Kind::Port:
+    delete static_cast<PortPayload *>(W.P);
+    break;
+  default:
+    assert(false && "release of an inline value");
+  }
+}
+
+Payload *Value::unshare() {
+  // Only this Value can reach a payload whose count is 1, so no other
+  // thread can start sharing it concurrently.
+  if (W.P->Refs == 1)
+    return W.P;
+  Payload *Copy = nullptr;
+  uint64_t Entries = 1;
+  switch (K) {
+  case Kind::String:
+    Copy = new StringPayload(static_cast<StringPayload *>(W.P)->S);
+    break;
+  case Kind::Array: {
+    auto *A = new ArrayPayload(static_cast<ArrayPayload *>(W.P)->Elems);
+    Entries = A->Elems.size();
+    Copy = A;
+    break;
+  }
+  case Kind::Struct: {
+    auto *S = new StructPayload(static_cast<StructPayload *>(W.P)->Fields);
+    Entries = S->Fields.size();
+    Copy = S;
+    break;
+  }
+  case Kind::Port:
+    Copy = new PortPayload(static_cast<PortPayload *>(W.P)->H);
+    break;
+  default:
+    assert(false && "unshare of an inline value");
+    return W.P;
+  }
+  CowCopiedEntries += Entries;
+  release();
+  W.P = Copy;
+  return Copy;
+}
+
+uint64_t Value::getCowCopiedEntries() {
+  return CowCopiedEntries;
 }
 
 bool Value::isData() const {
@@ -80,62 +134,50 @@ bool Value::isData() const {
   }
 }
 
-int64_t Value::getInt() const {
-  assert(K == Kind::Int && "not an int value");
-  return IntVal;
-}
-
-bool Value::getBool() const {
-  assert(K == Kind::Bool && "not a bool value");
-  return BoolVal;
-}
-
-double Value::getFloat() const {
-  assert(K == Kind::Float && "not a float value");
-  return FloatVal;
-}
-
 double Value::getNumeric() const {
   assert((K == Kind::Int || K == Kind::Float) && "not a numeric value");
-  return K == Kind::Int ? static_cast<double>(IntVal) : FloatVal;
+  if (K == Kind::Int)
+    return static_cast<double>(W.I);
+  return K == Kind::Float ? W.F : 0.0;
 }
 
 const std::string &Value::getString() const {
   assert(K == Kind::String && "not a string value");
-  return StrVal;
+  return K == Kind::String ? static_cast<StringPayload *>(W.P)->S
+                           : EmptyString;
 }
 
 const std::vector<Value> &Value::getElems() const {
   assert(K == Kind::Array && "not an array value");
-  return Elems;
+  return K == Kind::Array ? static_cast<ArrayPayload *>(W.P)->Elems
+                          : EmptyElems;
 }
 
 std::vector<Value> &Value::getElemsMutable() {
   assert(K == Kind::Array && "not an array value");
-  return Elems;
+  return static_cast<ArrayPayload *>(unshare())->Elems;
 }
 
 const std::vector<std::pair<std::string, Value>> &Value::getFields() const {
   assert(K == Kind::Struct && "not a struct value");
-  return Fields;
+  return K == Kind::Struct ? static_cast<StructPayload *>(W.P)->Fields
+                           : EmptyFields;
 }
 
 std::vector<std::pair<std::string, Value>> &Value::getFieldsMutable() {
   assert(K == Kind::Struct && "not a struct value");
-  return Fields;
+  return static_cast<StructPayload *>(unshare())->Fields;
 }
 
 const Value *Value::getField(const std::string &Name) const {
-  assert(K == Kind::Struct && "not a struct value");
-  for (const auto &[FieldName, FieldValue] : Fields)
+  for (const auto &[FieldName, FieldValue] : getFields())
     if (FieldName == Name)
       return &FieldValue;
   return nullptr;
 }
 
 Value *Value::getFieldMutable(const std::string &Name) {
-  assert(K == Kind::Struct && "not a struct value");
-  for (auto &[FieldName, FieldValue] : Fields)
+  for (auto &[FieldName, FieldValue] : getFieldsMutable())
     if (FieldName == Name)
       return &FieldValue;
   return nullptr;
@@ -143,17 +185,17 @@ Value *Value::getFieldMutable(const std::string &Name) {
 
 netlist::InstanceNode *Value::getInstance() const {
   assert(K == Kind::InstanceRef && "not an instance reference");
-  return Inst;
+  return K == Kind::InstanceRef ? W.Inst : nullptr;
 }
 
 const PortHandle &Value::getPort() const {
   assert(K == Kind::Port && "not a port handle");
-  return Handle;
+  return K == Kind::Port ? static_cast<PortPayload *>(W.P)->H : EmptyPort;
 }
 
 PortHandle &Value::getPortMutable() {
   assert(K == Kind::Port && "not a port handle");
-  return Handle;
+  return static_cast<PortPayload *>(unshare())->H;
 }
 
 bool Value::equals(const Value &Other) const {
@@ -163,36 +205,41 @@ bool Value::equals(const Value &Other) const {
   case Kind::Unset:
     return true;
   case Kind::Int:
-    return IntVal == Other.IntVal;
+    return W.I == Other.W.I;
   case Kind::Bool:
-    return BoolVal == Other.BoolVal;
+    return W.B == Other.W.B;
   case Kind::Float:
-    return FloatVal == Other.FloatVal;
+    return W.F == Other.W.F;
   case Kind::String:
-    return StrVal == Other.StrVal;
+    return getString() == Other.getString();
   case Kind::Array: {
-    if (Elems.size() != Other.Elems.size())
+    // Element-wise even when the payload is shared: a NaN element keeps
+    // an array unequal to itself.
+    const auto &Elems = getElems(), &OtherElems = Other.getElems();
+    if (Elems.size() != OtherElems.size())
       return false;
     for (unsigned I = 0; I != Elems.size(); ++I)
-      if (!Elems[I].equals(Other.Elems[I]))
+      if (!Elems[I].equals(OtherElems[I]))
         return false;
     return true;
   }
   case Kind::Struct: {
-    if (Fields.size() != Other.Fields.size())
+    const auto &Fields = getFields(), &OtherFields = Other.getFields();
+    if (Fields.size() != OtherFields.size())
       return false;
     for (unsigned I = 0; I != Fields.size(); ++I)
-      if (Fields[I].first != Other.Fields[I].first ||
-          !Fields[I].second.equals(Other.Fields[I].second))
+      if (Fields[I].first != OtherFields[I].first ||
+          !Fields[I].second.equals(OtherFields[I].second))
         return false;
     return true;
   }
   case Kind::InstanceRef:
-    return Inst == Other.Inst;
-  case Kind::Port:
-    return Handle.Inst == Other.Handle.Inst &&
-           Handle.Port == Other.Handle.Port &&
-           Handle.Index == Other.Handle.Index;
+    return W.Inst == Other.W.Inst;
+  case Kind::Port: {
+    const PortHandle &Handle = getPort(), &OtherHandle = Other.getPort();
+    return Handle.Inst == OtherHandle.Inst && Handle.Port == OtherHandle.Port &&
+           Handle.Index == OtherHandle.Index;
+  }
   }
   return false;
 }
@@ -214,6 +261,7 @@ bool Value::conformsTo(const types::Type *Ty) const {
   case Type::Kind::Array: {
     if (K != Kind::Array)
       return false;
+    const auto &Elems = getElems();
     if (Ty->getArraySize() >= 0 &&
         static_cast<int64_t>(Elems.size()) != Ty->getArraySize())
       return false;
@@ -225,6 +273,7 @@ bool Value::conformsTo(const types::Type *Ty) const {
   case Type::Kind::Struct: {
     if (K != Kind::Struct)
       return false;
+    const auto &Fields = getFields();
     const auto &FieldTys = Ty->getFields();
     if (Fields.size() != FieldTys.size())
       return false;
@@ -282,17 +331,18 @@ std::string Value::str() const {
   case Kind::Unset:
     return "<unset>";
   case Kind::Int:
-    return std::to_string(IntVal);
+    return std::to_string(W.I);
   case Kind::Bool:
-    return BoolVal ? "true" : "false";
+    return W.B ? "true" : "false";
   case Kind::Float: {
     std::ostringstream OS;
-    OS << FloatVal;
+    OS << W.F;
     return OS.str();
   }
   case Kind::String:
-    return "\"" + StrVal + "\"";
+    return "\"" + getString() + "\"";
   case Kind::Array: {
+    const auto &Elems = getElems();
     std::string S = "[";
     for (unsigned I = 0; I != Elems.size(); ++I) {
       if (I)
@@ -302,6 +352,7 @@ std::string Value::str() const {
     return S + "]";
   }
   case Kind::Struct: {
+    const auto &Fields = getFields();
     std::string S = "{";
     for (unsigned I = 0; I != Fields.size(); ++I) {
       if (I)
@@ -312,10 +363,12 @@ std::string Value::str() const {
   }
   case Kind::InstanceRef:
     return "<instance>";
-  case Kind::Port:
+  case Kind::Port: {
+    const PortHandle &Handle = getPort();
     return "<port " + Handle.Port +
            (Handle.hasIndex() ? "[" + std::to_string(Handle.Index) + "]" : "") +
            ">";
+  }
   }
   return "<invalid>";
 }

@@ -139,6 +139,43 @@ TEST(Bsl, ArraysAndStructs) {
   EXPECT_EQ(S.getInt(), 5);
 }
 
+TEST(Bsl, CopiedLocalsDoNotAlias) {
+  // Reads index into locals by reference and copies share payloads; a
+  // write through an lvalue must still reach only the written variable.
+  BslFixture F;
+  Value Pair = Value::makeStruct(
+      {{"pc", Value::makeInt(4)},
+       {"regs", Value::makeArray({Value::makeInt(1), Value::makeInt(2)})}});
+  Value R = F.run(R"(
+var grid:int[][] = array(2, array(2, 0));
+var row:int[] = grid[1];
+row[0] = 7;
+grid[0][1] = 3;
+var p:struct { pc:int; regs:int[]; } = pair;
+var q:struct { pc:int; regs:int[]; } = p;
+q.pc = q.pc + 1;
+q.regs[1] = p.regs[1] * 10;
+var out:int[] = array(0, 0);
+out = append(out, grid[0][0]);
+out = append(out, grid[0][1]);
+out = append(out, grid[1][0]);
+out = append(out, grid[1][1]);
+out = append(out, row[0]);
+out = append(out, row[1]);
+out = append(out, p.pc);
+out = append(out, p.regs[1]);
+out = append(out, q.pc);
+out = append(out, q.regs[1]);
+out = append(out, pair.regs[1]);
+return out;
+)",
+                  {{"pair", Pair}});
+  EXPECT_FALSE(F.Diags.hasErrors()) << F.Diags.getFirstErrorMessage();
+  EXPECT_EQ(R.str(), "[0, 3, 0, 0, 7, 0, 4, 2, 5, 20, 2]");
+  // The caller's argument value is untouched.
+  EXPECT_EQ(Pair.str(), "{pc: 4, regs: [1, 2]}");
+}
+
 TEST(Bsl, CommonBuiltins) {
   BslFixture F;
   EXPECT_EQ(F.run("return min(3, 5) + max(3, 5) + abs(0 - 2);").getInt(),

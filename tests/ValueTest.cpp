@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <thread>
+
 using namespace liberty;
 using namespace liberty::interp;
 using lss::BinaryOp;
@@ -89,6 +92,144 @@ TEST(Value, StrRendering) {
             "[1, 2]");
   EXPECT_EQ(Value::makeStruct({{"a", Value::makeBool(true)}}).str(),
             "{a: true}");
+}
+
+//===----------------------------------------------------------------------===//
+// Layout and copy-on-write sharing
+//===----------------------------------------------------------------------===//
+
+// A kind tag plus one inline word; String/Array/Struct/Port payloads are
+// shared, so a copy never copies contents.
+static_assert(sizeof(Value) <= 16, "Value must stay a small tagged word");
+
+TEST(ValueCow, ArrayCopyUnsharesOnWrite) {
+  Value A = Value::makeArray({Value::makeInt(1), Value::makeInt(2)});
+  Value B = A;
+  uint64_t Before = Value::getCowCopiedEntries();
+  B.getElemsMutable()[0] = Value::makeInt(9);
+  EXPECT_EQ(Value::getCowCopiedEntries() - Before, 2u) << "one unshare";
+  EXPECT_EQ(A.getElems()[0].getInt(), 1) << "original unchanged";
+  EXPECT_EQ(B.getElems()[0].getInt(), 9);
+  // B now owns its payload: further writes copy nothing.
+  Before = Value::getCowCopiedEntries();
+  B.getElemsMutable().push_back(Value::makeInt(3));
+  EXPECT_EQ(Value::getCowCopiedEntries(), Before);
+  EXPECT_EQ(A.getElems().size(), 2u);
+  EXPECT_EQ(B.getElems().size(), 3u);
+}
+
+TEST(ValueCow, NestedSharingThroughOuterCopy) {
+  // array(n, init) shares one inner payload among all elements.
+  Value Inner = Value::makeArray({Value::makeInt(0), Value::makeInt(0)});
+  Value Outer = Value::makeArray({Inner, Inner});
+  Value Copy = Outer;
+  Copy.getElemsMutable()[1].getElemsMutable()[0] = Value::makeInt(5);
+  EXPECT_EQ(Copy.getElems()[1].getElems()[0].getInt(), 5);
+  EXPECT_EQ(Copy.getElems()[0].getElems()[0].getInt(), 0);
+  EXPECT_EQ(Outer.getElems()[1].getElems()[0].getInt(), 0);
+  EXPECT_EQ(Inner.getElems()[0].getInt(), 0);
+}
+
+TEST(ValueCow, StructFieldCopyUnsharesOnWrite) {
+  Value S = Value::makeStruct(
+      {{"pc", Value::makeInt(4)}, {"ok", Value::makeBool(true)}});
+  Value T = S;
+  *T.getFieldMutable("pc") = Value::makeInt(8);
+  EXPECT_EQ(S.getField("pc")->getInt(), 4) << "original unchanged";
+  EXPECT_EQ(T.getField("pc")->getInt(), 8);
+  Value U = S;
+  U.getFieldsMutable().emplace_back("extra", Value::makeInt(1));
+  EXPECT_EQ(S.getFields().size(), 2u);
+  EXPECT_EQ(U.getFields().size(), 3u);
+  EXPECT_EQ(U.getFieldMutable("missing"), nullptr);
+}
+
+TEST(ValueCow, PortCopyUnsharesOnWrite) {
+  PortHandle H;
+  H.Port = "out";
+  Value P = Value::makePort(H);
+  Value Q = P;
+  Q.getPortMutable().Index = 3;
+  Q.getPortMutable().Port = "in";
+  EXPECT_FALSE(P.getPort().hasIndex()) << "original unchanged";
+  EXPECT_EQ(P.getPort().Port, "out");
+  EXPECT_EQ(Q.getPort().Index, 3);
+  EXPECT_EQ(Q.str(), "<port in[3]>");
+  EXPECT_FALSE(P.equals(Q));
+}
+
+TEST(ValueCow, EqualsAcrossSharedAndUnsharedPayloads) {
+  Value A = Value::makeArray(
+      {Value::makeString("x"),
+       Value::makeStruct({{"f", Value::makeFloat(1.5)}})});
+  Value Shared = A;
+  Value Separate = Value::makeArray(
+      {Value::makeString("x"),
+       Value::makeStruct({{"f", Value::makeFloat(1.5)}})});
+  EXPECT_TRUE(A.equals(Shared));
+  EXPECT_TRUE(A.equals(Separate));
+  // Unsharing with an identical write keeps the values equal.
+  Shared.getElemsMutable()[0] = Value::makeString("x");
+  EXPECT_TRUE(A.equals(Shared));
+  *Shared.getElemsMutable()[1].getFieldMutable("f") = Value::makeFloat(2.5);
+  EXPECT_FALSE(A.equals(Shared));
+  EXPECT_TRUE(A.equals(Separate));
+  // Equality stays element-wise even on one shared payload: NaN != NaN.
+  Value NaN = Value::makeArray({Value::makeFloat(std::nan(""))});
+  Value NaNCopy = NaN;
+  EXPECT_FALSE(NaN.equals(NaNCopy));
+}
+
+TEST(ValueCow, SetIntResetsNonIntValues) {
+  Value S = Value::makeString("text");
+  Value Keep = S;
+  S.setInt(7);
+  ASSERT_TRUE(S.isInt());
+  EXPECT_EQ(S.getInt(), 7);
+  EXPECT_EQ(Keep.getString(), "text") << "shared payload survives";
+  Value A = Value::makeArray({Value::makeInt(1)});
+  A.setInt(-2);
+  ASSERT_TRUE(A.isInt());
+  EXPECT_EQ(A.getInt(), -2);
+  EXPECT_TRUE(A.equals(Value::makeInt(-2)));
+  Value U;
+  U.setInt(0);
+  EXPECT_TRUE(U.isInt());
+}
+
+TEST(ValueCow, SelfAssignmentAndMoveFromOwnElement) {
+  Value A = Value::makeArray({Value::makeArray({Value::makeInt(4)})});
+  Value &Self = A;
+  A = Self;
+  EXPECT_EQ(A.str(), "[[4]]");
+  // The source lives inside the payload being replaced.
+  A = std::move(A.getElemsMutable()[0]);
+  EXPECT_EQ(A.str(), "[4]");
+  A = A.getElems()[0];
+  EXPECT_EQ(A.getInt(), 4);
+}
+
+TEST(ValueCow, ConcurrentCopiesOfOneSharedValue) {
+  // Simulation workers and daemon threads copy and drop Values that share
+  // one payload; each thread's writes must stay private (run under TSan
+  // by the tsan preset).
+  const Value Shared = Value::makeArray(
+      {Value::makeString("s"), Value::makeArray({Value::makeInt(0)})});
+  std::vector<std::thread> Threads;
+  std::vector<int64_t> Sums(4, 0);
+  for (int T = 0; T != 4; ++T)
+    Threads.emplace_back([&, T] {
+      for (int I = 0; I != 2000; ++I) {
+        Value Copy = Shared;
+        Copy.getElemsMutable()[1].getElemsMutable()[0] = Value::makeInt(I);
+        Sums[T] += Copy.getElems()[1].getElems()[0].getInt();
+      }
+    });
+  for (std::thread &Th : Threads)
+    Th.join();
+  for (int64_t Sum : Sums)
+    EXPECT_EQ(Sum, 1999 * 2000 / 2);
+  EXPECT_EQ(Shared.str(), "[\"s\", [0]]");
 }
 
 //===----------------------------------------------------------------------===//
