@@ -35,9 +35,9 @@ namespace {
 /// --sim-engine NAME (default auto): the engine for the LSS benchmarks
 /// that don't sweep engines themselves, enabling whole-suite comparisons.
 /// The legacy --selective on|off and --sim-jobs N flags remain as
-/// aliases; they only matter when the engine is auto (the Options
-/// resolution rules then pick selective/wavefront from them, exactly as
-/// lssc does).
+/// aliases; they only matter when the engine is auto (sim::resolveEngine
+/// then picks compiled/interp/wavefront from them, exactly as lssc
+/// does).
 sim::EngineKind GEngine = sim::EngineKind::Auto;
 
 /// --selective on|off (default on): legacy alias, see GEngine.
@@ -225,7 +225,7 @@ act_chain.out -> act_sink.in;
 void BM_LssLowActivity(benchmark::State &State) {
   bool Selective = State.range(0) != 0;
   sim::Simulator::Options O;
-  O.Selective = Selective;
+  O.Engine = Selective ? sim::EngineKind::Selective : sim::EngineKind::Interp;
   auto C = driver::Compiler::compileForSim(
       invocationFor("lowact.lss", lowActivitySpec(200, 8), O));
   if (!C) {
@@ -266,12 +266,15 @@ for (i = 0; i < )" + N + R"(; i = i + 1) {
 )";
 }
 
-/// Thread-count scaling on the wide model: Arg = worker threads.
+/// Thread-count scaling on the wide model: Arg = worker threads (1 is the
+/// serial interpreter the wavefront engine is measured against).
 void BM_LssWideLanes(benchmark::State &State) {
   unsigned Jobs = unsigned(State.range(0));
   sim::Simulator::Options O;
   O.Selective = GSelective;
   O.Jobs = Jobs;
+  if (Jobs == 1)
+    O.Engine = GSelective ? sim::EngineKind::Selective : sim::EngineKind::Interp;
   auto C = driver::Compiler::compileForSim(
       invocationFor("wide.lss", wideLanesSpec(64), O));
   if (!C) {

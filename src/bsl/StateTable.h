@@ -7,10 +7,12 @@
 /// table so the simulation hot path reads state through a dense index
 /// instead of a string compare per access.
 ///
-/// Slots are created by name (bind) and never removed; values live in a
-/// deque so Value pointers handed out (state(), findState) stay valid for
-/// the lifetime of the table — including across reset(), which blanks the
-/// values but keeps every slot identity.
+/// Slots are created by name (bind) and never removed. Their values live
+/// in a SlotPool that the simulator owns and shares across every
+/// instance's table, so an instance costs no pool allocation of its own;
+/// the pool is pointer-stable, so Value pointers handed out (state(),
+/// findState) stay valid for the lifetime of the pool — including across
+/// reset(), which blanks the values but keeps every slot identity.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,12 +28,19 @@
 namespace liberty {
 namespace bsl {
 
+/// Backing store for state slots. Deque growth at the back never moves
+/// existing elements, so slot pointers are stable.
+using SlotPool = std::deque<interp::Value>;
+
 class StateTable {
 public:
+  /// A table whose slots live in \p Pool, which must outlive it.
+  explicit StateTable(SlotPool &Pool) : Pool(&Pool) {}
+
   /// The slot named \p Name, or -1 if it was never bound.
   int find(const std::string &Name) const {
-    for (size_t I = 0; I != Names.size(); ++I)
-      if (Names[I] == Name)
+    for (size_t I = 0; I != NumSlots; ++I)
+      if (rec(I).Name == Name)
         return int(I);
     return -1;
   }
@@ -42,39 +51,52 @@ public:
     int Id = find(Name);
     if (Id >= 0)
       return Id;
-    Names.push_back(Name);
-    Values.emplace_back();
-    return int(Names.size()) - 1;
+    Slot S{Name, &Pool->emplace_back()};
+    if (NumSlots == 0)
+      First = std::move(S);
+    else
+      More.push_back(std::move(S));
+    return int(NumSlots++);
   }
 
-  interp::Value &slot(int Id) { return Values[size_t(Id)]; }
-  const interp::Value &slot(int Id) const { return Values[size_t(Id)]; }
+  interp::Value &slot(int Id) { return *rec(size_t(Id)).V; }
+  const interp::Value &slot(int Id) const { return *rec(size_t(Id)).V; }
 
   /// Pointer to the named slot's value, or null if unbound. The pointer
-  /// stays valid as slots are added (deque storage) and across reset().
+  /// stays valid as slots are added and across reset().
   interp::Value *lookup(const std::string &Name) {
     int Id = find(Name);
-    return Id < 0 ? nullptr : &Values[size_t(Id)];
+    return Id < 0 ? nullptr : rec(size_t(Id)).V;
   }
 
   /// Convenience accessor with map-like semantics (find-or-create).
   interp::Value &operator[](const std::string &Name) {
-    return Values[size_t(bind(Name))];
+    return slot(bind(Name));
   }
 
   /// Blanks every value to Unset, keeping all slot identities (so ids and
   /// cached Value pointers survive a simulator reset).
   void resetValues() {
-    for (interp::Value &V : Values)
-      V = interp::Value();
+    for (size_t I = 0; I != NumSlots; ++I)
+      *rec(I).V = interp::Value();
   }
 
-  size_t size() const { return Names.size(); }
-  const std::string &name(int Id) const { return Names[size_t(Id)]; }
+  size_t size() const { return NumSlots; }
+  const std::string &name(int Id) const { return rec(size_t(Id)).Name; }
 
 private:
-  std::vector<std::string> Names;
-  std::deque<interp::Value> Values; // Deque: pointer-stable growth.
+  struct Slot {
+    std::string Name;
+    interp::Value *V = nullptr;
+  };
+  const Slot &rec(size_t I) const { return I == 0 ? First : More[I - 1]; }
+
+  // Most instances bind one slot, so the first is stored inline and only
+  // later ones allocate.
+  Slot First;
+  std::vector<Slot> More;
+  size_t NumSlots = 0;
+  SlotPool *Pool;
 };
 
 } // namespace bsl

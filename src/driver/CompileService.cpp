@@ -123,7 +123,8 @@ CompileResult CompileService::compile(const CompilerInvocation &Inv) {
   // elabKey — the plan is a pure function of the elaborated netlist, so
   // any compile that reuses the netlist can reuse the kernel. ------------
   if (Inv.BuildSim) {
-    const bool WantKernel = Inv.Sim.Engine == sim::EngineKind::Compiled;
+    const bool WantKernel =
+        sim::resolveEngine(Inv.Sim) == sim::EngineKind::Compiled;
     std::string KernelPayload;
     const std::string *KernelArt = nullptr;
     if (WantKernel && Opts.CacheEnabled &&

@@ -593,7 +593,8 @@ CompileResult CompileService::compileIncremental(const CompilerInvocation &Inv) 
 
   // --- Simulator construction — identical to compile()'s kernel phase. ---
   if (Inv.BuildSim) {
-    const bool WantKernel = Inv.Sim.Engine == sim::EngineKind::Compiled;
+    const bool WantKernel =
+        sim::resolveEngine(Inv.Sim) == sim::EngineKind::Compiled;
     std::string KernelPayload;
     const std::string *KernelArt = nullptr;
     if (WantKernel && Cache.get(ElabKeyStr, "kernel", KernelPayload))

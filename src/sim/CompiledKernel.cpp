@@ -3,12 +3,13 @@
 /// \file
 /// The compiled engine's per-cycle loop. Each specialized op replays the
 /// corresponding corelib behavior's evaluate() body over dense net ids;
-/// the write helper mirrors Runtime::setOutput exactly, minus the
-/// selective-trace bookkeeping (DirtyCycle stamps, fixpoint dirty flags,
-/// replay records, activity counters) that exhaustive evaluation never
-/// observes. Event emission — one automatic port event per write call,
-/// payload read back from the net after the write — is kept call-for-call
-/// identical so traces match the serial interpreter bit for bit.
+/// the write helpers mirror Runtime::setOutput's net-update rule, dirty
+/// stamp and activity counters (the fixpoint dirty flag and replay
+/// records only matter to cyclic groups and to skipping under a collector,
+/// neither of which a specialized op sees). Event emission — one automatic
+/// port event per write call, payload read back from the net after the
+/// write — is kept call-for-call identical so traces match the serial
+/// interpreter bit for bit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,53 +60,103 @@ const char *CompiledKernel::seqKindName(SeqKind K) {
 
 namespace {
 
-/// Runtime::setOutput's net-update rule for a connected net, without the
-/// stats/selective bookkeeping: presence appears, and the stored value is
-/// only reassigned when it observably changed (same equals() guard, so
-/// Value identity churn matches the interpreter). Templated so the
-/// private Simulator::Net type is named only inside the friended caller.
-template <class NetT> inline void writeNet(NetT &N, const Value &V) {
-  if (!N.Has) {
-    if (!N.PrevHas || !N.V.equals(V))
-      N.V = V;
+/// The activity counters the cycle loop bumps, kept in locals so they live
+/// in registers rather than behind a pointer that may alias the nets;
+/// flushed into the simulator's ActivityStats when run() returns.
+struct Counters {
+  uint64_t GroupsEvaluated = 0, GroupsSkipped = 0, NetWrites = 0,
+           NetChanges = 0;
+};
+
+/// Runtime::setOutput's rule for a write to a connected net: presence
+/// appears, and the stored value is reassigned (a change: stamped dirty
+/// and counted) only when the net was absent last cycle or the value
+/// differs — the same equals() guard, so Value identity churn matches the
+/// interpreter. Templated so the private Simulator::Net type is named only
+/// inside the friended caller.
+template <class NetT>
+inline void writeNet(NetT &N, const Value &V, uint64_t Cycle, Counters &C) {
+  ++C.NetWrites;
+  if ((N.Has || N.PrevHas) && N.V.equals(V)) {
     N.Has = true;
-  } else if (!N.V.equals(V)) {
-    N.V = V;
+    return;
   }
+  N.V = V;
+  N.Has = true;
+  N.DirtyCycle = Cycle;
+  ++C.NetChanges;
 }
 
-/// writeNet for the all-integer fast path: same change-detection rule
-/// (equals() on an Int value is a kind + payload compare), but the store
-/// is an in-place setInt with no Value temporary.
-template <class NetT> inline void writeNetInt(NetT &N, int64_t V) {
-  if (!N.Has) {
-    if (!N.PrevHas || !N.V.isInt() || N.V.getInt() != V)
-      N.V.setInt(V);
+/// writeNet for the all-integer fast path: same rule (equals() on an Int
+/// value is a kind + payload compare), but the store is an in-place setInt
+/// with no Value temporary.
+template <class NetT>
+inline void writeNetInt(NetT &N, int64_t V, uint64_t Cycle, Counters &C) {
+  ++C.NetWrites;
+  if ((N.Has || N.PrevHas) && N.V.isInt() && N.V.getInt() == V) {
     N.Has = true;
-  } else if (!N.V.isInt() || N.V.getInt() != V) {
-    N.V.setInt(V);
+    return;
   }
+  N.V.setInt(V);
+  N.Has = true;
+  N.DirtyCycle = Cycle;
+  ++C.NetChanges;
 }
 
 } // namespace
 
 void CompiledKernel::run(Simulator &Sim, uint64_t N) {
   // Collectors only attach between step() calls, so the emptiness test
-  // hoists out of the cycle loop. The compiled engine never skips or
-  // replays, so a mid-run attach needs no forced-full-cycle handling —
-  // but keep the version current so a later engine-agnostic caller sees
-  // consistent state.
+  // hoists out of the cycle loop. With one attached every op evaluates
+  // (nothing to replay); keep the version current so a later
+  // engine-agnostic caller sees consistent state.
   const bool Emit = !Sim.Instr.empty();
   Sim.LastInstrVersion = Sim.Instr.getVersion();
   const int32_t *Pool = NetPool.data();
   Simulator::Net *Nets = Sim.Nets.data();
+  char *Evaluated = Sim.GroupEvaluated.data();
+  const Schedule &Sched = Sim.Sched;
+  Counters C;
 
   for (uint64_t Step = 0; Step != N; ++Step) {
     const uint64_t Cycle = Sim.Cycle;
     for (const Op &O : Ops) {
+      if (O.Skippable && !Emit && Evaluated[O.Group]) {
+        // Quiescent unless a net the op reads changed this cycle. Every
+        // such net is read combinationally, so its driver ran earlier in
+        // this cycle's order. Specialized ops test their In nets (-1 is
+        // an unconnected input, which never changes); Generic ops the
+        // group's input union.
+        bool Quiescent = true;
+        if (O.Kind == OpKind::Generic) {
+          for (int NetId : Sched.groupInputNets(size_t(O.Group)))
+            if (Nets[NetId].DirtyCycle == Cycle) {
+              Quiescent = false;
+              break;
+            }
+        } else {
+          for (int32_t K = 0; K != O.In.Count; ++K) {
+            int32_t NetId = Pool[O.In.Begin + K];
+            if (NetId >= 0 && Nets[NetId].DirtyCycle == Cycle) {
+              Quiescent = false;
+              break;
+            }
+          }
+        }
+        if (Quiescent) {
+          ++C.GroupsSkipped;
+          continue;
+        }
+      }
+      if (O.Kind == OpKind::Generic) {
+        // evaluateGroup prepares, counts, stamps and marks the group
+        // evaluated itself.
+        Sim.evaluateGroup(size_t(O.Group), Sim.Activity);
+        continue;
+      }
+
       // Prepare: snapshot last cycle's presence on the op's output nets
-      // and blank it (Generic ops carry an empty range — evaluateGroup
-      // prepares its own members).
+      // and blank it.
       for (int32_t K = 0; K != O.Prep.Count; ++K) {
         Simulator::Net &Nt = Nets[Pool[O.Prep.Begin + K]];
         Nt.PrevHas = Nt.Has;
@@ -113,15 +164,14 @@ void CompiledKernel::run(Simulator &Sim, uint64_t N) {
       }
       switch (O.Kind) {
       case OpKind::Generic:
-        Sim.evaluateGroup(size_t(O.Group), Sim.Activity);
-        break;
+        break; // Handled above.
 
       case OpKind::ConstSource:
-        // Const is always makeInt(ImmA) (classifyGroup only specializes
-        // integer-valued const_source params).
+        // classifyGroup only specializes integer-valued const_source
+        // params; ImmA holds the value.
         for (int32_t K = 0; K != O.Out.Count; ++K) {
           Simulator::Net &Nt = Nets[Pool[O.Out.Begin + K]];
-          writeNetInt(Nt, O.ImmA);
+          writeNetInt(Nt, O.ImmA, Cycle, C);
           if (Emit)
             Sim.Instr.emit(Event{O.Path, O.EventName, Cycle, &Nt.V});
         }
@@ -131,7 +181,7 @@ void CompiledKernel::run(Simulator &Sim, uint64_t N) {
         const int64_t CV = O.ImmA + O.ImmB * int64_t(Cycle);
         for (int32_t K = 0; K != O.Out.Count; ++K) {
           Simulator::Net &Nt = Nets[Pool[O.Out.Begin + K]];
-          writeNetInt(Nt, CV);
+          writeNetInt(Nt, CV, Cycle, C);
           if (Emit)
             Sim.Instr.emit(Event{O.Path, O.EventName, Cycle, &Nt.V});
         }
@@ -152,7 +202,7 @@ void CompiledKernel::run(Simulator &Sim, uint64_t N) {
           const int64_t Sum = NA.V.getInt() + NB.V.getInt();
           for (int32_t K = 0; K != O.Out.Count; ++K) {
             Simulator::Net &Nt = Nets[Pool[O.Out.Begin + K]];
-            writeNetInt(Nt, Sum);
+            writeNetInt(Nt, Sum, Cycle, C);
             if (Emit)
               Sim.Instr.emit(Event{O.Path, O.EventName, Cycle, &Nt.V});
           }
@@ -162,7 +212,7 @@ void CompiledKernel::run(Simulator &Sim, uint64_t N) {
             Value::makeFloat(NA.V.getNumeric() + NB.V.getNumeric());
         for (int32_t K = 0; K != O.Out.Count; ++K) {
           Simulator::Net &Nt = Nets[Pool[O.Out.Begin + K]];
-          writeNet(Nt, Sum);
+          writeNet(Nt, Sum, Cycle, C);
           if (Emit)
             Sim.Instr.emit(Event{O.Path, O.EventName, Cycle, &Nt.V});
         }
@@ -178,7 +228,7 @@ void CompiledKernel::run(Simulator &Sim, uint64_t N) {
           const int64_t IV = V.getInt();
           for (int32_t K = 0; K != O.Out.Count; ++K) {
             Simulator::Net &Nt = Nets[Pool[O.Out.Begin + K]];
-            writeNetInt(Nt, IV);
+            writeNetInt(Nt, IV, Cycle, C);
             if (Emit)
               Sim.Instr.emit(Event{O.Path, O.EventName, Cycle, &Nt.V});
           }
@@ -186,7 +236,7 @@ void CompiledKernel::run(Simulator &Sim, uint64_t N) {
         }
         for (int32_t K = 0; K != O.Out.Count; ++K) {
           Simulator::Net &Nt = Nets[Pool[O.Out.Begin + K]];
-          writeNet(Nt, V);
+          writeNet(Nt, V, Cycle, C);
           if (Emit)
             Sim.Instr.emit(Event{O.Path, O.EventName, Cycle, &Nt.V});
         }
@@ -198,7 +248,7 @@ void CompiledKernel::run(Simulator &Sim, uint64_t N) {
           const int64_t SV = O.State->getInt();
           for (int32_t K = 0; K != O.Out.Count; ++K) {
             Simulator::Net &Nt = Nets[Pool[O.Out.Begin + K]];
-            writeNetInt(Nt, SV);
+            writeNetInt(Nt, SV, Cycle, C);
             if (Emit)
               Sim.Instr.emit(Event{O.Path, O.EventName, Cycle, &Nt.V});
           }
@@ -206,7 +256,7 @@ void CompiledKernel::run(Simulator &Sim, uint64_t N) {
         }
         for (int32_t K = 0; K != O.Out.Count; ++K) {
           Simulator::Net &Nt = Nets[Pool[O.Out.Begin + K]];
-          writeNet(Nt, *O.State);
+          writeNet(Nt, *O.State, Cycle, C);
           if (Emit)
             Sim.Instr.emit(Event{O.Path, O.EventName, Cycle, &Nt.V});
         }
@@ -227,6 +277,14 @@ void CompiledKernel::run(Simulator &Sim, uint64_t N) {
         }
         break;
       }
+      // Absence pass: a send that ceased is an observable change.
+      for (int32_t K = 0; K != O.Prep.Count; ++K) {
+        Simulator::Net &Nt = Nets[Pool[O.Prep.Begin + K]];
+        if (Nt.PrevHas && !Nt.Has)
+          Nt.DirtyCycle = Cycle;
+      }
+      Evaluated[O.Group] = 1;
+      ++C.GroupsEvaluated;
     }
 
     // Sequential phase, in runtime index order (== runSequentialPhase),
@@ -241,15 +299,24 @@ void CompiledKernel::run(Simulator &Sim, uint64_t N) {
             *S.State = V;
         }
       } else {
-        Simulator::Runtime *RT = Sim.Runtimes[size_t(S.RuntimeIdx)].get();
+        Simulator::Runtime *RT = Sim.Runtimes[size_t(S.RuntimeIdx)];
         RT->Behavior->endOfTimestep(*RT);
       }
     }
     Sim.runEndOfTimestepUserpoints();
 
     ++Sim.Cycle;
-    ++Sim.Activity.Cycles;
   }
+
+  // Specialized ops are singleton groups: one leaf eval per group.
+  ActivityStats &A = Sim.Activity;
+  A.Cycles += N;
+  A.GroupsEvaluated += C.GroupsEvaluated;
+  A.LeafEvals += C.GroupsEvaluated;
+  A.GroupsSkipped += C.GroupsSkipped;
+  A.LeafEvalsSkipped += C.GroupsSkipped;
+  A.NetWrites += C.NetWrites;
+  A.NetChanges += C.NetChanges;
 }
 
 //===----------------------------------------------------------------------===//

@@ -26,11 +26,23 @@
 /// Semantics contract: running the kernel is bit-identical (events, final
 /// net values, runtime state) to the exhaustive serial interpreter, which
 /// the repo's differential tests pin to the selective and wavefront
-/// engines too. The kernel intentionally does not maintain the
-/// selective-trace machinery (DirtyCycle stamps, replay records) or the
-/// per-evaluate activity counters — neither is observable in exhaustive
-/// runs; ActivityStats under the compiled engine reports cycles and the
-/// generic-op counters only.
+/// engines too.
+///
+/// Dirty-skip: every write stamps Net::DirtyCycle on an observable change
+/// (and each op's absence pass stamps sends that ceased), exactly as
+/// Runtime::setOutput and Simulator::evaluateGroup do. An op whose group
+/// the schedule marks skippable (a pure singleton) is skipped — prep and
+/// body, so its previous sends carry forward — once it has been evaluated
+/// since reset() and none of the nets it reads changed this cycle. The
+/// kernel never skips while a collector is attached, so event streams need
+/// no replay and stay identical to the interpreter's.
+///
+/// Activity counters: GroupsEvaluated, GroupsSkipped, LeafEvals,
+/// LeafEvalsSkipped, NetWrites and NetChanges follow the interpreter's
+/// rules (one leaf eval per specialized op evaluated, one net write per
+/// write to a connected net, a change when that write altered value or
+/// presence), so on a run with nothing skipped they equal the exhaustive
+/// interpreter's exactly.
 ///
 /// The structural plan serializes as the byte-stable "LSSKRN 1" artifact
 /// (see serialize()), cached by driver/CompileService keyed off the
@@ -86,7 +98,8 @@ public:
     DelayLatch,     ///< corelib/delay.tar: held <- in[0]
   };
 
-  /// [Begin, Begin+Count) slice of NetPool.
+  /// [Begin, Begin+Count) slice of an id pool (NetPool here; the
+  /// simulator's NetIdPool for its runtimes' net lists).
   struct Range {
     int32_t Begin = 0;
     int32_t Count = 0;
@@ -94,6 +107,9 @@ public:
 
   struct Op {
     OpKind Kind = OpKind::Generic;
+    /// The schedule marks the group skippable (pure singleton); derived
+    /// from the live simulator, not serialized.
+    bool Skippable = false;
     int32_t Group = -1;      ///< Schedule group index (== position in Ops).
     int32_t RuntimeIdx = -1; ///< Dense runtime index (-1 for Generic).
     /// Output nets to prepare (PrevHas <- Has; Has <- false) before the
@@ -101,14 +117,13 @@ public:
     Range Prep;
     /// Connected output nets in port-index order (writes + port events).
     Range Out;
-    /// Input nets the body reads, kind-specific layout (see the runner).
+    /// Input nets the body reads, kind-specific layout (see the runner);
+    /// the dirty-skip test of a specialized op reads exactly these.
     Range In;
-    int64_t ImmA = 0; ///< CounterSource: start.
+    int64_t ImmA = 0; ///< ConstSource: value; CounterSource: start.
     int64_t ImmB = 0; ///< CounterSource: stride.
-    /// ConstSource: the materialized parameter value.
-    interp::Value Const;
     /// DelayEval: the "held" slot; Sink: the "received" slot. Stable
-    /// across reset() (bsl::StateTable pointers survive resetValues).
+    /// across reset() (state slots live in the simulator's slot pool).
     interp::Value *State = nullptr;
     /// "port:<name>" of the written output slot (automatic port events);
     /// Sink: the declared "received" event name.

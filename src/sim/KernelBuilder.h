@@ -10,12 +10,11 @@
 /// op that delegates to Simulator::evaluateGroup, preserving fixpoint and
 /// diagnostic semantics exactly.
 ///
-/// load() trusts nothing: a cached plan is parsed with bounds-checked
-/// decoding, then every op is revalidated against the live simulator's
-/// schedule, behavior ids, and slot tables (the same classification the
-/// fresh build performs) — any mismatch rejects the whole artifact and
-/// the caller falls back to a fresh build. Mutated kernel artifacts are a
-/// fuzz target (fuzz_cache).
+/// load() trusts nothing: it lowers the live simulator afresh and adopts
+/// the cached artifact only if it is byte-identical to that lowering's
+/// canonical serialization — any difference rejects the whole artifact
+/// and the caller falls back to the fresh build. Mutated kernel artifacts
+/// are a fuzz target (fuzz_cache).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,9 +38,9 @@ public:
   /// groups lower to Generic ops.
   static std::unique_ptr<CompiledKernel> build(Simulator &Sim);
 
-  /// Parses an "LSSKRN 1" artifact and revalidates it against \p Sim.
-  /// Returns null if the artifact is malformed or structurally
-  /// inconsistent with the simulator (the cache-miss path).
+  /// Adopts an "LSSKRN 1" artifact after revalidating it against \p Sim.
+  /// Returns null unless the artifact is exactly the canonical
+  /// serialization of \p Sim's lowering (the cache-miss path).
   static std::unique_ptr<CompiledKernel> load(Simulator &Sim,
                                               const std::string &Artifact);
 };

@@ -20,16 +20,16 @@ namespace {
 /// lets a wide netlist present all its independent groups in one level.
 void assignLevels(Schedule &S, int NumNodes,
                   const std::vector<std::vector<int>> &Successors) {
-  int NumGroups = int(S.Groups.size());
+  int NumGroups = int(S.numGroups());
   std::vector<int> NodeGroup(NumNodes, -1);
   for (int G = 0; G != NumGroups; ++G)
-    for (int Node : S.Groups[G])
+    for (int Node : S.group(size_t(G)))
       NodeGroup[Node] = G;
 
   S.GroupLevel.assign(NumGroups, 0);
   int NumLevels = NumGroups ? 1 : 0;
   for (int G = 0; G != NumGroups; ++G)
-    for (int Node : S.Groups[G])
+    for (int Node : S.group(size_t(G)))
       for (int V : Successors[Node]) {
         int GV = NodeGroup[V];
         if (GV == G)
@@ -59,7 +59,9 @@ Schedule liberty::sim::computeSchedule(
   std::vector<int> Index(NumNodes, -1), LowLink(NumNodes, 0);
   std::vector<bool> OnStack(NumNodes, false);
   std::vector<int> Stack;
-  std::vector<std::vector<int>> SCCs;
+  // SCCs in emission order, flat: SCC K is SCCNodes[SCCEnd[K-1]..SCCEnd[K]).
+  std::vector<int> SCCNodes, SCCEnd;
+  SCCNodes.reserve(size_t(NumNodes));
   int NextIndex = 0;
 
   struct Frame {
@@ -93,17 +95,17 @@ Schedule liberty::sim::computeSchedule(
       }
       // U is finished.
       if (LowLink[U] == Index[U]) {
-        std::vector<int> SCC;
+        const size_t Begin = SCCNodes.size();
         while (true) {
           int W = Stack.back();
           Stack.pop_back();
           OnStack[W] = false;
-          SCC.push_back(W);
+          SCCNodes.push_back(W);
           if (W == U)
             break;
         }
-        std::sort(SCC.begin(), SCC.end());
-        SCCs.push_back(std::move(SCC));
+        std::sort(SCCNodes.begin() + std::ptrdiff_t(Begin), SCCNodes.end());
+        SCCEnd.push_back(int(SCCNodes.size()));
       }
       CallStack.pop_back();
       if (!CallStack.empty()) {
@@ -113,16 +115,22 @@ Schedule liberty::sim::computeSchedule(
     }
   }
 
+  // Reverse the emission order into the schedule, counting structure once
+  // here (not per accessor call).
   Schedule S;
-  S.Groups.assign(SCCs.rbegin(), SCCs.rend());
-
-  // Structural counts, once, at construction (not per accessor call).
+  S.GroupNodes.reserve(SCCNodes.size());
+  S.GroupBegin.reserve(SCCEnd.size() + 1);
   S.NumCyclic = 0;
   S.MaxGroup = 0;
-  for (const auto &G : S.Groups) {
-    if (G.size() > 1)
+  for (size_t K = SCCEnd.size(); K-- != 0;) {
+    const int Begin = K ? SCCEnd[K - 1] : 0, End = SCCEnd[K];
+    S.GroupNodes.insert(S.GroupNodes.end(), SCCNodes.begin() + Begin,
+                        SCCNodes.begin() + End);
+    S.GroupBegin.push_back(int(S.GroupNodes.size()));
+    const unsigned Size = unsigned(End - Begin);
+    if (Size > 1)
       ++S.NumCyclic;
-    S.MaxGroup = std::max(S.MaxGroup, unsigned(G.size()));
+    S.MaxGroup = std::max(S.MaxGroup, Size);
   }
 
   assignLevels(S, NumNodes, Successors);
@@ -130,28 +138,34 @@ Schedule liberty::sim::computeSchedule(
 }
 
 void liberty::sim::computeGroupSummaries(
-    Schedule &S, const std::vector<std::vector<int>> &NodeInputNets,
+    Schedule &S, const std::vector<std::span<const int>> &NodeInputNets,
     const std::vector<bool> &NodePure) {
-  S.GroupInputNets.assign(S.Groups.size(), {});
-  S.GroupSkippable.assign(S.Groups.size(), false);
+  S.GroupInputIds.clear();
+  S.GroupInputBegin.assign(1, 0);
+  S.GroupInputBegin.reserve(S.numGroups() + 1);
+  S.GroupSkippable.assign(S.numGroups(), false);
   S.NumSkippable = 0;
-  for (size_t G = 0; G != S.Groups.size(); ++G) {
-    std::vector<int> &Inputs = S.GroupInputNets[G];
+  for (size_t G = 0; G != S.numGroups(); ++G) {
+    const size_t Begin = S.GroupInputIds.size();
     bool AllPure = true;
-    for (int Node : S.Groups[G]) {
+    for (int Node : S.group(G)) {
       assert(Node >= 0 &&
              static_cast<size_t>(Node) < NodeInputNets.size() &&
              "node id out of range");
-      Inputs.insert(Inputs.end(), NodeInputNets[Node].begin(),
-                    NodeInputNets[Node].end());
+      S.GroupInputIds.insert(S.GroupInputIds.end(),
+                             NodeInputNets[Node].begin(),
+                             NodeInputNets[Node].end());
       AllPure = AllPure && NodePure[Node];
     }
-    std::sort(Inputs.begin(), Inputs.end());
-    Inputs.erase(std::unique(Inputs.begin(), Inputs.end()), Inputs.end());
+    auto First = S.GroupInputIds.begin() + std::ptrdiff_t(Begin);
+    std::sort(First, S.GroupInputIds.end());
+    S.GroupInputIds.erase(std::unique(First, S.GroupInputIds.end()),
+                          S.GroupInputIds.end());
+    S.GroupInputBegin.push_back(int(S.GroupInputIds.size()));
     // Cyclic groups are never skipped: their fixpoint iteration already
     // quiesces in one settled pass, and always evaluating them keeps the
     // selective and exhaustive event streams identical.
-    S.GroupSkippable[G] = S.Groups[G].size() == 1 && AllPure;
+    S.GroupSkippable[G] = S.group(G).size() == 1 && AllPure;
     if (S.GroupSkippable[G])
       ++S.NumSkippable;
   }

@@ -27,15 +27,28 @@
 #ifndef LIBERTY_SIM_SCHEDULER_H
 #define LIBERTY_SIM_SCHEDULER_H
 
+#include <span>
 #include <vector>
 
 namespace liberty {
 namespace sim {
 
 struct Schedule {
-  /// Strongly connected components in topological order; each inner vector
-  /// lists node ids (in deterministic ascending order within a group).
-  std::vector<std::vector<int>> Groups;
+  /// Strongly connected components in topological order. Group G lists
+  /// its node ids (ascending) at GroupNodes[GroupBegin[G] ..
+  /// GroupBegin[G+1]): one flat array, not one allocation per group.
+  std::vector<int> GroupNodes;
+  std::vector<int> GroupBegin{0};
+
+  size_t numGroups() const { return GroupBegin.size() - 1; }
+  std::span<const int> group(size_t G) const {
+    return {GroupNodes.data() + GroupBegin[G],
+            size_t(GroupBegin[G + 1] - GroupBegin[G])};
+  }
+  std::span<int> group(size_t G) {
+    return {GroupNodes.data() + GroupBegin[G],
+            size_t(GroupBegin[G + 1] - GroupBegin[G])};
+  }
 
   /// Wavefront levels: Levels[L] lists the group indices (ascending)
   /// evaluated concurrently as level L. Every group's predecessors (edge
@@ -45,14 +58,22 @@ struct Schedule {
   std::vector<int> GroupLevel;
 
   /// Selective-trace summaries, filled by computeGroupSummaries once the
-  /// caller knows each node's input nets and purity. GroupInputNets[G] is
+  /// caller knows each node's input nets and purity. groupInputNets(G) is
   /// the sorted, deduplicated union of the input nets the members of
   /// group G read; GroupSkippable[G] is true when the per-cycle loop may
   /// skip G outright whenever none of those nets changed this cycle
   /// (singleton groups whose behavior has a pure evaluate — cyclic groups
   /// always iterate, so their fixpoint restores any transient state).
-  std::vector<std::vector<int>> GroupInputNets;
+  /// The unions are stored back to back in GroupInputIds, group G's at
+  /// [GroupInputBegin[G], GroupInputBegin[G+1]).
+  std::vector<int> GroupInputIds;
+  std::vector<int> GroupInputBegin;
   std::vector<bool> GroupSkippable;
+
+  std::span<const int> groupInputNets(size_t G) const {
+    return {GroupInputIds.data() + GroupInputBegin[G],
+            size_t(GroupInputBegin[G + 1] - GroupInputBegin[G])};
+  }
 
   /// Cached structural counts, computed once during schedule construction
   /// (computeSchedule / computeGroupSummaries) rather than rescanned on
@@ -79,12 +100,12 @@ Schedule computeSchedule(int NumNodes,
 
 /// Precomputes the per-group activity summaries selective-trace
 /// evaluation consults each cycle. \p NodeInputNets and \p NodePure are
-/// indexed by the node ids stored in \p S.Groups (callers may have
+/// indexed by the node ids stored in \p S.GroupNodes (callers may have
 /// remapped them after computeSchedule), listing every input net a node
 /// reads and whether its behavior has a pure evaluate.
-void computeGroupSummaries(Schedule &S,
-                           const std::vector<std::vector<int>> &NodeInputNets,
-                           const std::vector<bool> &NodePure);
+void computeGroupSummaries(
+    Schedule &S, const std::vector<std::span<const int>> &NodeInputNets,
+    const std::vector<bool> &NodePure);
 
 } // namespace sim
 } // namespace liberty

@@ -26,7 +26,8 @@ namespace sim {
 class Simulator::Runtime : public bsl::BehaviorContext {
 public:
   Runtime(Simulator &Sim, netlist::InstanceNode *Node)
-      : Sim(Sim), Node(Node), Stats(&Sim.Activity) {}
+      : Sim(Sim), Node(Node), StateVars(Sim.StatePool),
+        Stats(&Sim.Activity) {}
 
   Simulator &Sim;
   netlist::InstanceNode *Node;
@@ -35,20 +36,15 @@ public:
   std::unique_ptr<bsl::LeafBehavior> Behavior;
 
   /// One entry per declared port, addressed by the dense port id that
-  /// bindPort() hands out. Components have a handful of ports, so the
-  /// name-based accessors scan this linearly; the id-based accessors index
-  /// it directly. The table never changes after construct(), so pointers
-  /// into it (EventName) are stable.
-  struct PortSlot {
-    std::string Name;
-    std::vector<int> Nets;   ///< Net id per port instance (-1 unconnected).
-    std::string EventName;   ///< "port:<name>" for outputs, "" for inputs.
-    bool IsOutput = false;
-  };
-  std::vector<PortSlot> PortSlots;
+  /// bindPort() hands out: this runtime's slice of Sim.PortSlotPool.
+  /// Components have a handful of ports, so the name-based accessors scan
+  /// this linearly; the id-based accessors index it directly. The pool
+  /// never changes after construct(), so pointers into it (EventName) are
+  /// stable.
+  std::span<PortSlot> PortSlots;
 
   /// Behavior state and BSL runtime variables, lowered from a string map
-  /// to dense slots resolved at bind time.
+  /// to dense slots resolved at bind time; values live in Sim.StatePool.
   bsl::StateTable StateVars;
 
   int findPortId(const std::string &Port) const {
@@ -56,11 +52,6 @@ public:
       if (PortSlots[I].Name == Port)
         return int(I);
     return -1;
-  }
-  PortSlot &addSlot(const std::string &Port) {
-    PortSlots.emplace_back();
-    PortSlots.back().Name = Port;
-    return PortSlots.back();
   }
 
   struct CompiledUserpoint {
@@ -74,10 +65,10 @@ public:
   /// net values only, so the selective engine may skip evaluate() in
   /// quiescent cycles.
   bool Pure = false;
-  /// Net ids this leaf drives / reads (deduplicated, for the selective
-  /// engine's per-group preparation and absence passes).
-  std::vector<int> OutputNets;
-  std::vector<int> InputNets;
+  /// Net ids this leaf drives / reads (sorted, deduplicated, in
+  /// Sim.NetIdPool), for the per-group preparation and absence passes.
+  NetRange OutputNets;
+  NetRange InputNets;
   /// The automatic port events evaluate() emitted last time it ran, as
   /// (event-name, net-id) pairs. Recorded only while instrumentation is
   /// attached and the runtime is pure; replayed when the group is skipped
@@ -109,7 +100,7 @@ public:
     // For leaves the slot table is authoritative (its length is the
     // inferred width); hierarchical runtimes fall back to the netlist.
     if (int Id = findPortId(Port); Id >= 0)
-      return int(PortSlots[size_t(Id)].Nets.size());
+      return PortSlots[size_t(Id)].Nets.Count;
     const netlist::Port *P = Node->findPort(Port);
     return P ? P->Width : 0;
   }
@@ -136,16 +127,16 @@ public:
   int getWidth(int PortId) const override {
     if (PortId < 0 || PortId >= int(PortSlots.size()))
       return 0;
-    return int(PortSlots[size_t(PortId)].Nets.size());
+    return PortSlots[size_t(PortId)].Nets.Count;
   }
 
   const interp::Value *getInput(int PortId, int Index) const override {
     if (PortId < 0 || PortId >= int(PortSlots.size()))
       return nullptr;
     const PortSlot &PS = PortSlots[size_t(PortId)];
-    if (Index < 0 || Index >= int(PS.Nets.size()))
+    if (Index < 0 || Index >= PS.Nets.Count)
       return nullptr;
-    int NetId = PS.Nets[size_t(Index)];
+    int NetId = Sim.NetIdPool[size_t(PS.Nets.Begin + Index)];
     if (NetId < 0)
       return nullptr;
     const Net &N = Sim.Nets[NetId];
@@ -156,9 +147,9 @@ public:
     if (PortId < 0 || PortId >= int(PortSlots.size()))
       return; // Unconnected port: the value vanishes.
     PortSlot &PS = PortSlots[size_t(PortId)];
-    if (Index < 0 || Index >= int(PS.Nets.size()))
+    if (Index < 0 || Index >= PS.Nets.Count)
       return;
-    int NetId = PS.Nets[size_t(Index)];
+    int NetId = Sim.NetIdPool[size_t(PS.Nets.Begin + Index)];
     if (NetId < 0)
       return;
     Net &N = Sim.Nets[NetId];

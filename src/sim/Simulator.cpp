@@ -47,16 +47,13 @@ bool liberty::sim::parseEngineName(const std::string &Name, EngineKind &Out) {
   return false;
 }
 
-/// An explicit engine wins; Auto keeps the historical flag-driven
-/// selection so existing Options-only callers behave identically.
-static EngineKind resolveEngine(const Simulator::Options &O) {
+EngineKind liberty::sim::resolveEngine(const Simulator::Options &O) {
   if (O.Engine != EngineKind::Auto)
     return O.Engine;
   if (O.Jobs > 1)
     return EngineKind::Wavefront;
-  return O.Selective ? EngineKind::Selective : EngineKind::Interp;
+  return O.Selective ? EngineKind::Compiled : EngineKind::Interp;
 }
-
 
 //===----------------------------------------------------------------------===//
 // Construction
@@ -94,10 +91,10 @@ std::unique_ptr<Simulator> Simulator::build(netlist::Netlist &NL,
   switch (E) {
   case EngineKind::Auto: // Unreachable: resolveEngine never returns Auto.
   case EngineKind::Interp:
-  case EngineKind::Compiled:
     Opts.Selective = false;
     Opts.Jobs = 1;
     break;
+  case EngineKind::Compiled: // The kernel always skips quiescent ops.
   case EngineKind::Selective:
     Opts.Selective = true;
     Opts.Jobs = 1;
@@ -187,14 +184,34 @@ bool Simulator::construct() {
 
   // 3. Create runtimes: every leaf, plus any instance carrying userpoints
   //    or runtime variables (they participate in the userpoint phases).
+  //    Runtimes and their port slots live in stores sized here and never
+  //    resized, so pointers into them stay valid, and a leaf's port nets
+  //    plus its input and output sets fit in twice the node count: a
+  //    handful of allocations for the whole simulator, not several per
+  //    instance.
   RuntimeOfInstance.assign(NL.getInstances().size(), nullptr);
+  auto NeedsRuntime = [](const netlist::InstanceNode &Inst) {
+    return Inst.isLeaf() || !Inst.Userpoints.empty() ||
+           !Inst.RuntimeVars.empty();
+  };
+  size_t NumRuntimes = 0, NumLeafPorts = 0;
+  for (const auto &Inst : NL.getInstances())
+    if (NeedsRuntime(*Inst)) {
+      ++NumRuntimes;
+      if (Inst->isLeaf())
+        NumLeafPorts += Inst->Ports.size();
+    }
+  RuntimeStore = std::vector<std::optional<Runtime>>(NumRuntimes);
+  Runtimes.reserve(NumRuntimes);
+  PortSlotPool.reserve(NumLeafPorts);
+  NetIdPool.reserve(size_t(NumNodes) * 2);
   std::vector<int> LeafRuntimes;
   for (const auto &Inst : NL.getInstances()) {
-    bool NeedsRuntime = Inst->isLeaf() || !Inst->Userpoints.empty() ||
-                        !Inst->RuntimeVars.empty();
-    if (!NeedsRuntime)
+    if (!NeedsRuntime(*Inst))
       continue;
-    auto RT = std::make_unique<Runtime>(*this, Inst.get());
+    // A runtime whose behavior is missing is dropped, so its store slot
+    // is reused by the next one.
+    Runtime *RT = &RuntimeStore[Runtimes.size()].emplace(*this, Inst.get());
     if (Inst->isLeaf()) {
       RT->Behavior = bsl::BehaviorRegistry::global().create(Inst->BehaviorId);
       if (!RT->Behavior) {
@@ -203,16 +220,20 @@ bool Simulator::construct() {
                                    Inst->Path + "')");
         continue;
       }
+      PortSlot *FirstSlot = PortSlotPool.data() + PortSlotPool.size();
       for (const netlist::Port &P : Inst->Ports) {
-        Runtime::PortSlot &PS = RT->addSlot(P.Name);
-        PS.Nets.resize(P.Width, -1);
+        PortSlot &PS = PortSlotPool.emplace_back();
+        PS.Name = P.Name;
+        PS.Nets = {int32_t(NetIdPool.size()), int32_t(P.Width)};
         for (int I = 0; I != P.Width; ++I)
-          PS.Nets[I] = NodeNet[Inst->NodeBase + P.NodeOffset + uint32_t(I)];
+          NetIdPool.push_back(
+              NodeNet[Inst->NodeBase + P.NodeOffset + uint32_t(I)]);
         if (!P.isInput()) {
           PS.IsOutput = true;
           PS.EventName = "port:" + P.Name;
         }
       }
+      RT->PortSlots = {FirstSlot, Inst->Ports.size()};
       LeafRuntimes.push_back(Runtimes.size());
     }
     // Compile userpoints.
@@ -227,8 +248,8 @@ bool Simulator::construct() {
       ++Info.NumUserpoints;
       RT->Userpoints.emplace(Name, std::move(CU));
     }
-    RuntimeOfInstance[Inst->Id] = RT.get();
-    Runtimes.push_back(std::move(RT));
+    RuntimeOfInstance[Inst->Id] = RT;
+    Runtimes.push_back(RT);
   }
   Info.NumLeaves = LeafRuntimes.size();
 
@@ -239,38 +260,48 @@ bool Simulator::construct() {
     const std::string *Port;
   };
   std::vector<std::vector<Reader>> NetReaders(Nets.size());
-  for (unsigned SN = 0; SN != LeafRuntimes.size(); ++SN) {
-    Runtime *RT = Runtimes[LeafRuntimes[SN]].get();
-    RT->ScheduleNode = SN;
+  // Appends the connected nets of \p RT's input (or output) ports to the
+  // pool, calling \p Visit on each, and returns the sorted, deduplicated
+  // tail as a range. Indexes the pool (never a span into it) while
+  // appending.
+  auto CollectNets = [this](Runtime *RT, bool Inputs, auto Visit) {
+    const int32_t Begin = int32_t(NetIdPool.size());
     for (const netlist::Port &P : RT->Node->Ports) {
       int PortId = RT->findPortId(P.Name);
-      if (PortId < 0)
+      if (PortId < 0 || P.isInput() != Inputs)
         continue;
-      for (int NetId : RT->PortSlots[size_t(PortId)].Nets) {
+      const NetRange PN = RT->PortSlots[size_t(PortId)].Nets;
+      for (int32_t K = 0; K != PN.Count; ++K) {
+        int NetId = NetIdPool[size_t(PN.Begin + K)];
         if (NetId < 0)
           continue;
-        if (P.isInput()) {
-          NetReaders[NetId].push_back(Reader{(int)SN, &P.Name});
-          RT->InputNets.push_back(NetId);
-          continue;
-        }
-        RT->OutputNets.push_back(NetId);
-        Net &N = Nets[NetId];
-        if (N.DriverRuntime >= 0 &&
-            N.DriverRuntime != (int)LeafRuntimes[SN]) {
-          Diags.error(P.Loc, "net has multiple drivers: port '" + P.Name +
-                                 "' of instance '" + RT->Node->Path + "'");
-          continue;
-        }
-        N.DriverRuntime = LeafRuntimes[SN];
+        NetIdPool.push_back(NetId);
+        Visit(P, NetId);
       }
     }
-    auto Dedup = [](std::vector<int> &V) {
-      std::sort(V.begin(), V.end());
-      V.erase(std::unique(V.begin(), V.end()), V.end());
-    };
-    Dedup(RT->InputNets);
-    Dedup(RT->OutputNets);
+    auto First = NetIdPool.begin() + Begin;
+    std::sort(First, NetIdPool.end());
+    NetIdPool.erase(std::unique(First, NetIdPool.end()), NetIdPool.end());
+    return NetRange{Begin, int32_t(NetIdPool.size()) - Begin};
+  };
+  for (unsigned SN = 0; SN != LeafRuntimes.size(); ++SN) {
+    Runtime *RT = Runtimes[LeafRuntimes[SN]];
+    RT->ScheduleNode = SN;
+    RT->InputNets =
+        CollectNets(RT, true, [&](const netlist::Port &P, int NetId) {
+          NetReaders[NetId].push_back(Reader{(int)SN, &P.Name});
+        });
+    RT->OutputNets =
+        CollectNets(RT, false, [&](const netlist::Port &P, int NetId) {
+          Net &N = Nets[NetId];
+          if (N.DriverRuntime >= 0 &&
+              N.DriverRuntime != (int)LeafRuntimes[SN]) {
+            Diags.error(P.Loc, "net has multiple drivers: port '" + P.Name +
+                                   "' of instance '" + RT->Node->Path + "'");
+            return;
+          }
+          N.DriverRuntime = LeafRuntimes[SN];
+        });
     RT->Pure = RT->Behavior && RT->Behavior->hasPureEvaluate();
   }
 
@@ -282,48 +313,47 @@ bool Simulator::construct() {
       continue;
     int DriverSN = Runtimes[Driver]->ScheduleNode;
     for (const Reader &R : NetReaders[NetId]) {
-      Runtime *RT = Runtimes[LeafRuntimes[R.ScheduleNode]].get();
+      Runtime *RT = Runtimes[LeafRuntimes[R.ScheduleNode]];
       if (RT->Behavior && RT->Behavior->readsCombinationally(*R.Port))
         Successors[DriverSN].push_back(R.ScheduleNode);
     }
   }
   Sched = computeSchedule(LeafRuntimes.size(), Successors);
   // Re-express schedule nodes as runtime indices.
-  for (auto &Group : Sched.Groups)
-    for (int &N : Group)
-      N = LeafRuntimes[N];
+  for (int &N : Sched.GroupNodes)
+    N = LeafRuntimes[N];
 
   // 6. Selective-trace summaries: per-group input-net unions and
   //    skippability, precomputed once so the per-cycle loop only scans a
   //    short sorted list per skippable group.
-  std::vector<std::vector<int>> NodeInputNets(Runtimes.size());
+  std::vector<std::span<const int>> NodeInputNets(Runtimes.size());
   std::vector<bool> NodePure(Runtimes.size(), false);
   for (size_t RTIdx = 0; RTIdx != Runtimes.size(); ++RTIdx) {
-    NodeInputNets[RTIdx] = Runtimes[RTIdx]->InputNets;
+    NodeInputNets[RTIdx] = netIds(Runtimes[RTIdx]->InputNets);
     NodePure[RTIdx] = Runtimes[RTIdx]->Pure;
   }
   computeGroupSummaries(Sched, NodeInputNets, NodePure);
-  GroupEvaluated.assign(Sched.Groups.size(), 0);
-  GroupDirty.assign(Sched.Groups.size(), 0);
-  GroupOscillating.assign(Sched.Groups.size(), {});
+  GroupEvaluated.assign(Sched.numGroups(), 0);
+  GroupDirty.assign(Sched.numGroups(), 0);
+  GroupOscillating.assign(Sched.numGroups(), {});
 
   // 7. Wavefront engine resources. Sized before the pointer wiring below
   //    so &GroupDirty[G] / &GroupEventBufs[G] stay valid (neither vector
   //    is ever resized afterwards).
   if (Opts.Jobs > 1) {
-    GroupEventBufs.assign(Sched.Groups.size(), {});
-    FixpointFailed.assign(Sched.Groups.size(), 0);
+    GroupEventBufs.assign(Sched.numGroups(), {});
+    FixpointFailed.assign(Sched.numGroups(), 0);
     StatShards.assign(Opts.Jobs, ActivityStats());
     Pool = std::make_unique<ThreadPool>(Opts.Jobs);
   }
-  for (size_t G = 0; G != Sched.Groups.size(); ++G)
-    for (int RTIdx : Sched.Groups[G]) {
+  for (size_t G = 0; G != Sched.numGroups(); ++G)
+    for (int RTIdx : Sched.group(G)) {
       Runtimes[RTIdx]->FixpointDirty = &GroupDirty[G];
       if (Opts.Jobs > 1)
         Runtimes[RTIdx]->Buf = &GroupEventBufs[G];
     }
 
-  Info.NumGroups = Sched.Groups.size();
+  Info.NumGroups = Sched.numGroups();
   Info.NumCyclicGroups = Sched.numCyclicGroups();
   Info.MaxGroupSize = Sched.maxGroupSize();
   Info.NumSkippableGroups = Sched.numSkippableGroups();
@@ -347,7 +377,7 @@ void Simulator::reset() {
   }
   Activity = ActivityStats();
   Activity.Selective = Opts.Selective;
-  GroupEvaluated.assign(Sched.Groups.size(), 0);
+  GroupEvaluated.assign(Sched.numGroups(), 0);
   std::fill(GroupDirty.begin(), GroupDirty.end(), 0);
   std::fill(FixpointFailed.begin(), FixpointFailed.end(), 0);
   for (auto &O : GroupOscillating)
@@ -359,18 +389,18 @@ void Simulator::reset() {
   BufferEvents = false;
   BypassCountdown = 0;
   LastInstrVersion = Instr.getVersion();
-  for (auto &RT : Runtimes) {
+  for (Runtime *RT : Runtimes) {
     RT->resetState();
     RT->LastSends.clear();
   }
-  for (auto &RT : Runtimes)
+  for (Runtime *RT : Runtimes)
     if (RT->Behavior)
       RT->Behavior->init(*RT);
   runUserpointPhase("init");
 }
 
 void Simulator::runUserpointPhase(const std::string &Name) {
-  for (auto &RT : Runtimes)
+  for (Runtime *RT : Runtimes)
     if (RT->hasUserpoint(Name))
       RT->callUserpoint(Name, {});
 }
@@ -380,9 +410,9 @@ void Simulator::runEndOfTimestepUserpoints() {
   // userpoint (precomputed at first use).
   if (!EotRuntimesValid) {
     EotRuntimes.clear();
-    for (auto &RT : Runtimes)
+    for (Runtime *RT : Runtimes)
       if (RT->hasUserpoint("end_of_timestep"))
-        EotRuntimes.push_back(RT.get());
+        EotRuntimes.push_back(RT);
     EotRuntimesValid = true;
   }
   for (Runtime *RT : EotRuntimes)
@@ -390,20 +420,20 @@ void Simulator::runEndOfTimestepUserpoints() {
 }
 
 void Simulator::evaluateGroup(size_t GroupIdx, ActivityStats &A) {
-  const std::vector<int> &Group = Sched.Groups[GroupIdx];
+  std::span<const int> Group = Sched.group(GroupIdx);
   // Prepare the group's output nets: snapshot last cycle's presence, then
   // clear it so this evaluation starts from a blank slate. (Replaces the
   // old global per-cycle Has sweep — skipped groups keep their nets as-is,
   // carrying the previous sends forward.)
   for (int RTIdx : Group)
-    for (int NetId : Runtimes[RTIdx]->OutputNets) {
+    for (int NetId : netIds(Runtimes[RTIdx]->OutputNets)) {
       Net &N = Nets[NetId];
       N.PrevHas = N.Has;
       N.Has = false;
     }
 
   if (Group.size() == 1) {
-    Runtime *RT = Runtimes[Group.front()].get();
+    Runtime *RT = Runtimes[Group.front()];
     if (RT->Behavior) {
       RT->Stats = &A;
       RT->LastSends.clear();
@@ -429,13 +459,13 @@ void Simulator::evaluateGroup(size_t GroupIdx, ActivityStats &A) {
       ++A.FixpointIters;
       if (Iter + 1 == Opts.MaxFixpointIters) {
         for (int RTIdx : Group)
-          for (int NetId : Runtimes[RTIdx]->OutputNets) {
+          for (int NetId : netIds(Runtimes[RTIdx]->OutputNets)) {
             Watch.emplace_back(NetId, Nets[NetId].V);
             WatchHas.push_back(Nets[NetId].Has);
           }
       }
       for (int RTIdx : Group) {
-        Runtime *RT = Runtimes[RTIdx].get();
+        Runtime *RT = Runtimes[RTIdx];
         if (RT->Behavior) {
           RT->LastSends.clear();
           RT->Behavior->evaluate(*RT);
@@ -469,7 +499,7 @@ void Simulator::evaluateGroup(size_t GroupIdx, ActivityStats &A) {
   // Absence pass: a net that was driven last cycle but not this one is an
   // observable change for downstream readers.
   for (int RTIdx : Group)
-    for (int NetId : Runtimes[RTIdx]->OutputNets) {
+    for (int NetId : netIds(Runtimes[RTIdx]->OutputNets)) {
       Net &N = Nets[NetId];
       if (N.PrevHas && !N.Has)
         N.DirtyCycle = Cycle;
@@ -480,7 +510,7 @@ void Simulator::evaluateGroup(size_t GroupIdx, ActivityStats &A) {
 }
 
 void Simulator::reportFixpointFailure(size_t GroupIdx) {
-  const std::vector<int> &Group = Sched.Groups[GroupIdx];
+  std::span<const int> Group = Sched.group(GroupIdx);
   std::string Members;
   unsigned Listed = 0;
   for (int RTIdx : Group) {
@@ -533,7 +563,7 @@ void Simulator::skipGroup(size_t GroupIdx) {
     return;
   // Replay the automatic port events the skipped evaluate() would have
   // emitted, in recorded order, with the carried-forward net values.
-  Runtime *RT = Runtimes[Sched.Groups[GroupIdx].front()].get();
+  Runtime *RT = Runtimes[Sched.group(GroupIdx).front()];
   for (const auto &[EvName, NetId] : RT->LastSends) {
     if (BufferEvents) {
       BufferedEvent BE;
@@ -575,7 +605,7 @@ void Simulator::flushCycleEvents() {
 }
 
 void Simulator::runSequentialPhase() {
-  for (auto &RT : Runtimes)
+  for (Runtime *RT : Runtimes)
     if (RT->Behavior)
       RT->Behavior->endOfTimestep(*RT);
   runEndOfTimestepUserpoints();
@@ -611,12 +641,12 @@ void Simulator::stepSerial(uint64_t N) {
       ++Activity.BypassCycles;
     }
     uint64_t Eligible = 0, Skipped = 0;
-    for (size_t G = 0; G != Sched.Groups.size(); ++G) {
+    for (size_t G = 0; G != Sched.numGroups(); ++G) {
       if (Opts.Selective && !ForceFull && !Bypass && Sched.GroupSkippable[G] &&
           GroupEvaluated[G]) {
         ++Eligible;
         bool Quiescent = true;
-        for (int NetId : Sched.GroupInputNets[G])
+        for (int NetId : Sched.groupInputNets(G))
           if (Nets[NetId].DirtyCycle == Cycle) {
             Quiescent = false;
             break;
@@ -682,7 +712,7 @@ void Simulator::stepWavefront(uint64_t N) {
             Sched.GroupSkippable[G] && GroupEvaluated[G]) {
           ++Eligible;
           bool Quiescent = true;
-          for (int NetId : Sched.GroupInputNets[G])
+          for (int NetId : Sched.groupInputNets(size_t(G)))
             if (Nets[NetId].DirtyCycle == Cycle) {
               Quiescent = false;
               break;
@@ -739,7 +769,7 @@ void Simulator::stepWavefront(uint64_t N) {
     // stats at the merged totals first, so anything the sequential phase
     // counts lands there directly (a shard write after the merge would
     // slip to the next cycle — or be lost on the last one).
-    for (auto &RT : Runtimes)
+    for (Runtime *RT : Runtimes)
       RT->Stats = &Activity;
     for (ActivityStats &S : StatShards)
       mergeActivity(Activity, S);

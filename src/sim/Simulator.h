@@ -12,12 +12,14 @@
 /// computed schedule, cyclic groups iterated to a fixpoint — followed by a
 /// sequential phase (endOfTimestep + end_of_timestep userpoints).
 ///
-/// Evaluation is selective-trace (activity-driven) by default: every net
-/// carries a dirty stamp set only when a write actually changes its value
-/// or presence, and singleton schedule groups whose behavior declares a
-/// pure evaluate (LeafBehavior::hasPureEvaluate) are skipped in cycles
-/// where none of their input nets changed, their previous sends carried
-/// forward.
+/// Evaluation is activity-driven by default: every net carries a dirty
+/// stamp set only when a write actually changes its value or presence, and
+/// singleton schedule groups whose behavior declares a pure evaluate
+/// (LeafBehavior::hasPureEvaluate) are skipped in cycles where none of
+/// their input nets changed, their previous sends carried forward. The
+/// default engine is the compiled kernel (sim/CompiledKernel), which
+/// applies that skip per op; the selective interpreter applies it per
+/// group and also while collectors are attached, replaying events.
 ///
 /// With Options::Jobs > 1 the combinational phase runs level-parallel
 /// (wavefront): the schedule's groups are partitioned into topological
@@ -34,6 +36,7 @@
 #include "bsl/BehaviorRegistry.h"
 #include "bsl/BslProgram.h"
 #include "netlist/Netlist.h"
+#include "sim/CompiledKernel.h"
 #include "sim/Instrumentation.h"
 #include "sim/Scheduler.h"
 #include "support/Diagnostics.h"
@@ -42,25 +45,25 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace liberty {
 namespace sim {
 
-class CompiledKernel;
 class KernelBuilder;
 class KernelBuilderImpl;
-struct KernelStats;
 
-/// Which execution engine steps the simulator. Auto preserves the
-/// historical flag-driven selection (Jobs > 1 -> wavefront, else
-/// Selective on/off); the named kinds pin one engine explicitly
-/// (lssc --sim-engine). All engines are bit-identical in traces, final
-/// net values, and runtime state — pinned by the cross-engine
-/// differential tests.
+/// Which execution engine steps the simulator. Auto resolves from the
+/// legacy flags (see resolveEngine): the compiled kernel by default,
+/// interp with Selective off, wavefront with Jobs > 1. The named kinds pin
+/// one engine explicitly (lssc --sim-engine). All engines are
+/// bit-identical in traces, final net values, and runtime state — pinned
+/// by the cross-engine differential tests.
 enum class EngineKind {
-  Auto,      ///< Resolve from Selective/Jobs (legacy flags).
+  Auto,      ///< Resolve from Selective/Jobs (see resolveEngine).
   Interp,    ///< Exhaustive serial interpreter.
   Selective, ///< Change-driven (activity-based) serial interpreter.
   Wavefront, ///< Level-parallel interpreter (Jobs workers).
@@ -111,8 +114,8 @@ public:
     /// bit-identical traces, stats, and diagnostics.
     unsigned Jobs = 1;
     /// Engine selection (lssc --sim-engine). Auto resolves from the two
-    /// legacy flags above; an explicit kind wins and build() normalizes
-    /// Selective/Jobs to match it.
+    /// legacy flags above (resolveEngine); an explicit kind wins and
+    /// build() normalizes Selective/Jobs to match it.
     EngineKind Engine = EngineKind::Auto;
   };
 
@@ -237,6 +240,20 @@ private:
 
   class Runtime; // One per instance with behavior/userpoints/state.
 
+  /// [Begin, Begin+Count) slice of NetIdPool.
+  using NetRange = CompiledKernel::Range;
+  /// One declared port of a leaf runtime (Runtime::PortSlots).
+  struct PortSlot {
+    std::string Name;
+    /// Net id per port instance (-1 unconnected), in NetIdPool.
+    NetRange Nets;
+    std::string EventName; ///< "port:<name>" for outputs, "" for inputs.
+    bool IsOutput = false;
+  };
+  std::span<const int> netIds(NetRange R) const {
+    return {NetIdPool.data() + R.Begin, size_t(R.Count)};
+  }
+
   void evaluateGroup(size_t GroupIdx, ActivityStats &Stats);
   void skipGroup(size_t GroupIdx);
   void stepSerial(uint64_t N);
@@ -255,7 +272,17 @@ private:
   BuildInfo Info;
 
   std::vector<Net> Nets;
-  std::vector<std::unique_ptr<Runtime>> Runtimes;
+  /// Backing store of every runtime's port-net, input-net and output-net
+  /// lists (NetRange slices), one allocation for the whole simulator.
+  std::vector<int> NetIdPool;
+  /// Backing store of every runtime's state slots (bsl::StateTable).
+  bsl::SlotPool StatePool;
+  /// Backing store of every leaf runtime's port slots.
+  std::vector<PortSlot> PortSlotPool;
+  /// Storage for the runtimes, sized once in construct() and never
+  /// resized (Runtime pointers are stable); Runtimes indexes it densely.
+  std::vector<std::optional<Runtime>> RuntimeStore;
+  std::vector<Runtime *> Runtimes;
   /// Runtime indices of leaves, in schedule order groups.
   Schedule Sched;
   /// Dense node id (netlist::Netlist::nodeIdOf over the frozen numbering)
@@ -347,6 +374,13 @@ private:
   friend class KernelBuilder;
   friend class KernelBuilderImpl;
 };
+
+/// The engine build() runs for \p O (never Auto). An explicit kind wins;
+/// Auto gives Wavefront when Jobs > 1, else Compiled when Selective is set
+/// (the default Options{}), else Interp. Callers that must agree with the
+/// simulator about the engine (the kernel-caching phase of
+/// driver/CompileService) use this instead of reading Options::Engine.
+EngineKind resolveEngine(const Simulator::Options &O);
 
 } // namespace sim
 } // namespace liberty

@@ -13,7 +13,8 @@ namespace {
 struct BslFixture {
   SourceMgr SM;
   DiagnosticEngine Diags{SM};
-  StateTable RuntimeVars;
+  SlotPool StatePool;
+  StateTable RuntimeVars{StatePool};
   std::map<std::string, Value> Params;
 
   Value run(const std::string &Code,

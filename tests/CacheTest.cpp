@@ -229,6 +229,35 @@ TEST(CacheService, WarmSimulationMatchesCold) {
   EXPECT_EQ(ColdNets, WarmNets);
 }
 
+TEST(CacheService, DefaultEngineStoresAndReloadsTheKernel) {
+  // Default simulator options resolve to the compiled engine, so the
+  // kernel phase must store LSSKRN cold and adopt it warm.
+  TempDir Dir;
+  driver::CompilerInvocation Inv = chainInvocation();
+  Inv.BuildSim = true;
+  const std::string ElabKey =
+      driver::CompilerInvocation::keyString(Inv.elabKey());
+  std::string ColdKernel, Stored, WarmKernel;
+  {
+    driver::CompileService Svc(diskOpts(Dir));
+    driver::CompileResult R = Svc.compile(Inv);
+    ASSERT_TRUE(R.Success);
+    EXPECT_FALSE(R.KernelFromCache);
+    EXPECT_EQ(R.C->getSimulator()->getEngine(), sim::EngineKind::Compiled);
+    ASSERT_TRUE(R.C->getSimulator()->serializeKernel(ColdKernel));
+    EXPECT_TRUE(Svc.getCache().get(ElabKey, "kernel", Stored));
+  }
+  {
+    driver::CompileService Svc(diskOpts(Dir));
+    driver::CompileResult R = Svc.compile(Inv);
+    ASSERT_TRUE(R.Success);
+    EXPECT_TRUE(R.KernelFromCache);
+    ASSERT_TRUE(R.C->getSimulator()->serializeKernel(WarmKernel));
+  }
+  EXPECT_EQ(Stored, ColdKernel);
+  EXPECT_EQ(WarmKernel, ColdKernel);
+}
+
 TEST(CacheService, EditedSourceMisses) {
   TempDir Dir;
   driver::CompileService Svc(diskOpts(Dir));

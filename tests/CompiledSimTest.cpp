@@ -93,6 +93,164 @@ TEST(CompiledDifferential, OtherEnginesBuildNoKernel) {
 }
 
 //===----------------------------------------------------------------------===//
+// Engine resolution
+//===----------------------------------------------------------------------===//
+
+TEST(EngineResolution, AutoResolvesFromTheLegacyFlags) {
+  using sim::EngineKind;
+  sim::Simulator::Options O;
+  EXPECT_EQ(sim::resolveEngine(O), EngineKind::Compiled);
+  O.Selective = false;
+  EXPECT_EQ(sim::resolveEngine(O), EngineKind::Interp);
+  O.Selective = true;
+  O.Jobs = 4;
+  EXPECT_EQ(sim::resolveEngine(O), EngineKind::Wavefront);
+  O.Selective = false;
+  EXPECT_EQ(sim::resolveEngine(O), EngineKind::Wavefront);
+  // An explicit kind wins over both flags.
+  for (EngineKind K : {EngineKind::Interp, EngineKind::Selective,
+                       EngineKind::Wavefront, EngineKind::Compiled}) {
+    O.Engine = K;
+    EXPECT_EQ(sim::resolveEngine(O), K) << sim::engineName(K);
+  }
+}
+
+TEST(EngineResolution, DefaultOptionsBuildTheCompiledKernel) {
+  auto C = compileSim("chain.lss", delayChain(4), sim::Simulator::Options{});
+  ASSERT_NE(C, nullptr);
+  EXPECT_EQ(C->getSimulator()->getEngine(), sim::EngineKind::Compiled);
+  EXPECT_NE(C->getSimulator()->getKernelStats(), nullptr);
+}
+
+//===----------------------------------------------------------------------===//
+// Kernel activity counters and dirty-skip
+//===----------------------------------------------------------------------===//
+
+sim::Simulator::Options interpOptions() {
+  sim::Simulator::Options O;
+  O.Engine = sim::EngineKind::Interp;
+  return O;
+}
+
+/// Runs \p C for \p Cycles with no collector attached (so the kernel may
+/// skip) and returns its counters.
+sim::ActivityStats runQuiet(driver::Compiler &C, uint64_t Cycles) {
+  C.getSimulator()->step(Cycles);
+  EXPECT_FALSE(C.getSimulator()->hadRuntimeErrors());
+  return C.getSimulator()->getActivityStats();
+}
+
+void expectCountersEqual(const sim::ActivityStats &Interp,
+                         const sim::ActivityStats &Kernel) {
+  EXPECT_EQ(Kernel.GroupsSkipped, 0u);
+  EXPECT_EQ(Kernel.Cycles, Interp.Cycles);
+  EXPECT_EQ(Kernel.GroupsEvaluated, Interp.GroupsEvaluated);
+  EXPECT_EQ(Kernel.LeafEvals, Interp.LeafEvals);
+  EXPECT_EQ(Kernel.NetWrites, Interp.NetWrites);
+  EXPECT_EQ(Kernel.NetChanges, Interp.NetChanges);
+  EXPECT_EQ(Kernel.FixpointIters, Interp.FixpointIters);
+  EXPECT_GT(Kernel.LeafEvals, 0u);
+}
+
+TEST(KernelCounters, MatchInterpOnAllActivePaperModel) {
+  driver::Compiler I, K;
+  ASSERT_TRUE(buildModelSim(I, "e", interpOptions())) << I.diagnosticsText();
+  ASSERT_TRUE(buildModelSim(K, "e", compiledOptions()))
+      << K.diagnosticsText();
+  expectCountersEqual(runQuiet(I, 200), runQuiet(K, 200));
+}
+
+TEST(KernelCounters, MatchInterpOnDelayChain) {
+  auto I = compileSim("chain.lss", delayChain(50), interpOptions());
+  auto K = compileSim("chain.lss", delayChain(50), compiledOptions());
+  ASSERT_NE(I, nullptr);
+  ASSERT_NE(K, nullptr);
+  expectCountersEqual(runQuiet(*I, 120), runQuiet(*K, 120));
+}
+
+TEST(KernelDirtySkip, SkipsQuiescentOpsWithInterpFinalNets) {
+  const std::string Text = computingFarm(16);
+  auto I = compileSim("farm.lss", Text, interpOptions());
+  auto K = compileSim("farm.lss", Text, compiledOptions());
+  ASSERT_NE(I, nullptr);
+  ASSERT_NE(K, nullptr);
+  sim::ActivityStats AI = runQuiet(*I, 40);
+  sim::ActivityStats AK = runQuiet(*K, 40);
+  // The constant-fed chain (source, fanout, 16 adders) settles after
+  // cycle 0; its adders keep sending the sums they computed then.
+  EXPECT_GE(AK.GroupsSkipped, 39u * 18u);
+  EXPECT_EQ(AK.LeafEvalsSkipped, AK.GroupsSkipped);
+  EXPECT_EQ(AK.GroupsEvaluated + AK.GroupsSkipped, AI.GroupsEvaluated);
+  EXPECT_LT(AK.NetWrites, AI.NetWrites);
+  EXPECT_EQ(AK.NetChanges, AI.NetChanges);
+  EXPECT_EQ(collectFinalNets(*K), collectFinalNets(*I));
+  const interp::Value *Sum = K->getSimulator()->peekPort("qchain.a[15]", "out", 0);
+  ASSERT_NE(Sum, nullptr);
+  EXPECT_EQ(Sum->str(), "51");
+  EXPECT_EQ(K->getSimulator()->findState("qsink", "received")->str(),
+            I->getSimulator()->findState("qsink", "received")->str());
+  EXPECT_EQ(K->getSimulator()->findState("qsink", "received")->str(), "40");
+}
+
+TEST(KernelDirtySkip, CollectorDisablesSkipAndKeepsTheGoldenTrace) {
+  // With a collector attached nothing is skipped, and the trace is the
+  // golden one byte for byte.
+  auto KT = compileSim("farm.lss", lowActivityFarm(16), compiledOptions());
+  ASSERT_NE(KT, nullptr);
+  std::string Golden = goldenLine(runRecorded(*KT, 40));
+  EXPECT_EQ(KT->getSimulator()->getActivityStats().GroupsSkipped, 0u);
+  std::ifstream In(std::string(LIBERTY_GOLDEN_DIR) + "/low_activity_farm.trace");
+  ASSERT_TRUE(In.good());
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  EXPECT_EQ(Buf.str(), Golden);
+}
+
+/// A send that ceases inside a chain of specialized ops: the mux output
+/// goes absent once sel passes 1, so the fanout stops sending, and the
+/// adder it feeds must see that as a change (the kernel's absence pass)
+/// rather than skip and keep its stale sum.
+const char *kAbsentThroughFanout = R"(
+instance sel:counter_source;
+instance i0:const_source;
+i0.value = 10;
+instance i1:const_source;
+i1.value = 11;
+instance m:mux;
+instance f:fanout;
+instance k:const_source;
+k.value = 1;
+instance a:adder;
+instance s:sink;
+sel.out -> m.sel;
+i0.out -> m.in[0];
+i1.out -> m.in[1];
+m.out -> f.in;
+f.out -> a.in1;
+k.out -> a.in2;
+a.out -> s.in;
+)";
+
+TEST(KernelDirtySkip, PresenceTransitionsUnderSkipMatchInterp) {
+  // Every synthetic family, run without a collector: final nets and
+  // runtime state must equal interp's whatever the kernel skipped.
+  std::vector<SyntheticFamily> Families = syntheticFamilies();
+  Families.push_back({"absent_through_fanout", kAbsentThroughFanout, 10});
+  Families.push_back({"computing_farm", computingFarm(16), 40});
+  for (const SyntheticFamily &F : Families) {
+    SCOPED_TRACE(F.Name);
+    auto I = compileSim(std::string(F.Name) + ".lss", F.Text, interpOptions());
+    auto K =
+        compileSim(std::string(F.Name) + ".lss", F.Text, compiledOptions());
+    ASSERT_NE(I, nullptr);
+    ASSERT_NE(K, nullptr);
+    runQuiet(*I, F.Cycles);
+    runQuiet(*K, F.Cycles);
+    EXPECT_EQ(collectFinalNets(*K), collectFinalNets(*I));
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Golden coverage
 //===----------------------------------------------------------------------===//
 

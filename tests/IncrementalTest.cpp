@@ -28,6 +28,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -143,7 +144,9 @@ Artifacts artifactsFor(driver::CompileService &Svc,
 
 /// One matrix case: cold-compile the base project, apply \p Edit, compile
 /// incrementally, and check work counts plus byte-identity against a
-/// never-warmed cold compile of the edited project.
+/// never-warmed cold compile of the edited project. With \p SimEngine set,
+/// both compiles also build a simulator on that engine (Auto or Compiled,
+/// each of which resolves to the compiled kernel and stores LSSKRN).
 struct Expected {
   unsigned ModulesReelaborated;
   unsigned InstancesSpliced;
@@ -153,14 +156,16 @@ struct Expected {
 };
 void runCase(const char *CaseName,
              const std::function<void(driver::CompilerInvocation &)> &Edit,
-             const Expected &E, bool BuildCompiledSim = false) {
+             const Expected &E,
+             std::optional<sim::EngineKind> SimEngine = std::nullopt) {
   SCOPED_TRACE(CaseName);
   driver::CompilerInvocation Base = baseInvocation();
   driver::CompilerInvocation Edited = baseInvocation();
   Edit(Edited);
+  const bool BuildCompiledSim = SimEngine.has_value();
   if (BuildCompiledSim) {
     Base.BuildSim = Edited.BuildSim = true;
-    Base.Sim.Engine = Edited.Sim.Engine = sim::EngineKind::Compiled;
+    Base.Sim.Engine = Edited.Sim.Engine = *SimEngine;
   }
 
   TempDir IncDir;
@@ -197,6 +202,17 @@ void runCase(const char *CaseName,
   EXPECT_EQ(Inc.HasKernel, BuildCompiledSim);
   EXPECT_EQ(Cold.HasKernel, BuildCompiledSim);
   EXPECT_EQ(Inc.Kernel, Cold.Kernel);
+
+  if (BuildCompiledSim) {
+    // A warm recompile of the edited project reloads the stored kernel,
+    // which re-serializes to the same bytes.
+    driver::CompileResult W = IncSvc.compileIncremental(Edited);
+    ASSERT_TRUE(W.Success) << W.C->diagnosticsText();
+    EXPECT_TRUE(W.KernelFromCache);
+    std::string Again;
+    ASSERT_TRUE(W.C->getSimulator()->serializeKernel(Again));
+    EXPECT_EQ(Again, Cold.Kernel);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -304,7 +320,22 @@ TEST(IncrementalMatrix, LeafEditKernelArtifactIsByteIdenticalToo) {
                                      "  a.out -> k2.in;\n"
                                      "}\n");
       },
-      {3u, 16u, 4u, 1u, 3u}, /*BuildCompiledSim=*/true);
+      {3u, 16u, 4u, 1u, 3u}, sim::EngineKind::Compiled);
+}
+
+TEST(IncrementalMatrix, DefaultEngineStoresAndReloadsTheKernel) {
+  // Default simulator options resolve to the compiled engine, so a
+  // default compile must store the kernel and a warm one reload it.
+  runCase(
+      "leaf-edit-default-engine",
+      [](driver::CompilerInvocation &Inv) {
+        editSource(Inv, "lane3.lss", "module lane3 {\n"
+                                     "  instance a:adder;\n"
+                                     "  instance k:sink;\n"
+                                     "  a.out -> k.in : int;\n"
+                                     "}\n");
+      },
+      {3u, 16u, 3u, 0u, 3u}, sim::EngineKind::Auto);
 }
 
 //===----------------------------------------------------------------------===//

@@ -199,14 +199,14 @@ TEST(ParallelGolden, PaperModels) {
 /// Levels must partition [0, NumGroups) — every group in exactly one
 /// level, ascending within a level — and agree with GroupLevel.
 void expectWellFormedLevels(const sim::Schedule &S) {
-  ASSERT_EQ(S.GroupLevel.size(), S.Groups.size());
-  std::vector<int> Seen(S.Groups.size(), 0);
+  ASSERT_EQ(S.GroupLevel.size(), S.numGroups());
+  std::vector<int> Seen(S.numGroups(), 0);
   for (size_t L = 0; L != S.Levels.size(); ++L) {
     EXPECT_FALSE(S.Levels[L].empty()) << "empty level " << L;
     int Prev = -1;
     for (int G : S.Levels[L]) {
       ASSERT_GE(G, 0);
-      ASSERT_LT(G, int(S.Groups.size()));
+      ASSERT_LT(G, int(S.numGroups()));
       EXPECT_GT(G, Prev) << "level " << L << " not ascending";
       Prev = G;
       EXPECT_EQ(S.GroupLevel[size_t(G)], int(L));
@@ -222,8 +222,8 @@ void expectLevelsRespectEdges(
     const sim::Schedule &S, int NumNodes,
     const std::vector<std::vector<int>> &Successors) {
   std::vector<int> NodeGroup(size_t(NumNodes), -1);
-  for (size_t G = 0; G != S.Groups.size(); ++G)
-    for (int N : S.Groups[G])
+  for (size_t G = 0; G != S.numGroups(); ++G)
+    for (int N : S.group(G))
       NodeGroup[size_t(N)] = int(G);
   for (int U = 0; U != NumNodes; ++U)
     for (int V : Successors[size_t(U)]) {
@@ -239,7 +239,7 @@ TEST(ScheduleLevels, DiamondProducersPrecedeConsumers) {
   // 0 -> {1,2} -> 3: the join must sit strictly after both branches.
   std::vector<std::vector<int>> Succ = {{1, 2}, {3}, {3}, {}};
   sim::Schedule S = sim::computeSchedule(4, Succ);
-  ASSERT_EQ(S.Groups.size(), 4u);
+  ASSERT_EQ(S.numGroups(), 4u);
   expectWellFormedLevels(S);
   expectLevelsRespectEdges(S, 4, Succ);
   EXPECT_EQ(S.numLevels(), 3u);
@@ -269,7 +269,7 @@ TEST(ScheduleLevels, SccCollapsesToOneGroupWithOrderedLevels) {
   // 0 -> 1 <-> 2 -> 3: the cycle {1,2} forms one group between 0 and 3.
   std::vector<std::vector<int>> Succ = {{1}, {2}, {1, 3}, {}};
   sim::Schedule S = sim::computeSchedule(4, Succ);
-  ASSERT_EQ(S.Groups.size(), 3u);
+  ASSERT_EQ(S.numGroups(), 3u);
   EXPECT_EQ(S.maxGroupSize(), 2u);
   expectWellFormedLevels(S);
   expectLevelsRespectEdges(S, 4, Succ);

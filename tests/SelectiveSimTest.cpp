@@ -138,21 +138,29 @@ TEST(SelectiveActivity, ResetClearsCounters) {
 
 TEST(SelectiveInstrumentation, MidRunAttachSeesFullStream) {
   // Attaching a collector part-way through a run must not lose events:
-  // the engine forces one exhaustive cycle to rebuild replay records.
-  auto Run = [](bool Selective) {
-    auto C = compileSim("farm.lss", lowActivityFarm(8),
-                        engineOptions(Selective));
+  // the selective engine forces one exhaustive cycle to rebuild replay
+  // records, and the compiled kernel stops skipping while one is attached.
+  auto Run = [](const std::string &Text, sim::Simulator::Options O) {
+    auto C = compileSim("farm.lss", Text, O);
     EXPECT_NE(C, nullptr);
     sim::Simulator *Sim = C->getSimulator();
     Sim->step(10); // Uninstrumented prefix; skipping is in effect.
+    if (O.Selective) {
+      EXPECT_GT(Sim->getActivityStats().GroupsSkipped, 0u);
+    }
     std::vector<std::string> Events;
     attachRecorder(*Sim, Events);
     Sim->step(10);
     return Events;
   };
-  std::vector<std::string> Ex = Run(false), Sel = Run(true);
-  EXPECT_FALSE(Sel.empty());
-  EXPECT_EQ(Ex, Sel);
+  sim::Simulator::Options Compiled;
+  Compiled.Engine = sim::EngineKind::Compiled;
+  for (const std::string &Text : {lowActivityFarm(8), computingFarm(8)}) {
+    std::vector<std::string> Ex = Run(Text, engineOptions(false));
+    EXPECT_FALSE(Ex.empty());
+    EXPECT_EQ(Ex, Run(Text, engineOptions(true)));
+    EXPECT_EQ(Ex, Run(Text, Compiled));
+  }
 }
 
 TEST(SelectiveInstrumentation, ReplayedEventsAreCounted) {

@@ -30,11 +30,17 @@ namespace simtest {
 
 using namespace liberty;
 
+/// Options for the interpreted engines: serial exhaustive (interp), serial
+/// selective, or wavefront with \p Jobs workers. The serial selective case
+/// names its engine explicitly, since Auto would resolve it to the
+/// compiled kernel.
 inline sim::Simulator::Options engineOptions(bool Selective,
                                              unsigned Jobs = 1) {
   sim::Simulator::Options O;
   O.Selective = Selective;
   O.Jobs = Jobs;
+  if (Selective && Jobs == 1)
+    O.Engine = sim::EngineKind::Selective;
   return O;
 }
 
@@ -236,6 +242,45 @@ module addchain {
   for (i = 1; i < n; i = i + 1) {
     as[i-1].out -> as[i].in1;
     in -> as[i].in2;
+  }
+  as[n-1].out -> out;
+};
+instance qsrc:const_source;
+qsrc.value = 3;
+instance qchain:addchain;
+qchain.n = )" + std::to_string(QuietN) + R"(;
+instance qsink:sink;
+qsrc.out -> qchain.in;
+qchain.out -> qsink.in;
+instance asrc:counter_source;
+instance achain:addchain;
+achain.n = 4;
+instance asink:sink;
+asrc.out -> achain.in;
+achain.out -> asink.in;
+)";
+}
+
+/// Low activity where the quiet adders compute: lowActivityFarm's shape,
+/// but each chain broadcasts its input through a fanout, so every adder
+/// sees both operands (the quiet chain settles to 6, 9, ..., 3 * (n + 1)
+/// in cycle 0 and then only repeats itself).
+inline std::string computingFarm(int QuietN) {
+  return R"(
+module addchain {
+  parameter n:int;
+  inport in: 'a;
+  outport out: 'a;
+  instance f:fanout;
+  in -> f.in;
+  var as:instance ref[];
+  as = new instance[n](adder, "a");
+  f.out -> as[0].in1;
+  f.out -> as[0].in2;
+  var i:int;
+  for (i = 1; i < n; i = i + 1) {
+    as[i-1].out -> as[i].in1;
+    f.out -> as[i].in2;
   }
   as[n-1].out -> out;
 };

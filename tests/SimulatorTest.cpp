@@ -13,44 +13,49 @@ namespace {
 // Static scheduler
 //===----------------------------------------------------------------------===//
 
+std::vector<int> groupNodes(const sim::Schedule &S, size_t G) {
+  std::span<const int> Nodes = S.group(G);
+  return std::vector<int>(Nodes.begin(), Nodes.end());
+}
+
 TEST(Scheduler, ChainIsToposorted) {
   // 0 -> 1 -> 2 -> 3
   sim::Schedule S = sim::computeSchedule(4, {{1}, {2}, {3}, {}});
-  ASSERT_EQ(S.Groups.size(), 4u);
-  EXPECT_EQ(S.Groups[0], std::vector<int>{0});
-  EXPECT_EQ(S.Groups[3], std::vector<int>{3});
+  ASSERT_EQ(S.numGroups(), 4u);
+  EXPECT_EQ(groupNodes(S, 0), std::vector<int>{0});
+  EXPECT_EQ(groupNodes(S, 3), std::vector<int>{3});
   EXPECT_EQ(S.numCyclicGroups(), 0u);
 }
 
 TEST(Scheduler, DiamondRespectsDependencies) {
   // 0 -> {1,2} -> 3
   sim::Schedule S = sim::computeSchedule(4, {{1, 2}, {3}, {3}, {}});
-  ASSERT_EQ(S.Groups.size(), 4u);
-  EXPECT_EQ(S.Groups.front(), std::vector<int>{0});
-  EXPECT_EQ(S.Groups.back(), std::vector<int>{3});
+  ASSERT_EQ(S.numGroups(), 4u);
+  EXPECT_EQ(groupNodes(S, 0), std::vector<int>{0});
+  EXPECT_EQ(groupNodes(S, S.numGroups() - 1), std::vector<int>{3});
 }
 
 TEST(Scheduler, CycleBecomesOneGroup) {
   // 0 -> 1 -> 2 -> 0, plus 3 downstream of the cycle.
   sim::Schedule S = sim::computeSchedule(4, {{1}, {2}, {0, 3}, {}});
-  ASSERT_EQ(S.Groups.size(), 2u);
-  EXPECT_EQ(S.Groups[0], (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(S.Groups[1], std::vector<int>{3});
+  ASSERT_EQ(S.numGroups(), 2u);
+  EXPECT_EQ(groupNodes(S, 0), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(groupNodes(S, 1), std::vector<int>{3});
   EXPECT_EQ(S.numCyclicGroups(), 1u);
   EXPECT_EQ(S.maxGroupSize(), 3u);
 }
 
 TEST(Scheduler, SelfLoopIsSingletonCycle) {
   sim::Schedule S = sim::computeSchedule(2, {{0, 1}, {}});
-  ASSERT_EQ(S.Groups.size(), 2u);
+  ASSERT_EQ(S.numGroups(), 2u);
   // A self loop is an SCC of size 1; our convention treats it as a
   // singleton group (evaluated once — sequential components use state).
-  EXPECT_EQ(S.Groups[0], std::vector<int>{0});
+  EXPECT_EQ(groupNodes(S, 0), std::vector<int>{0});
 }
 
 TEST(Scheduler, DisconnectedNodesAllScheduled) {
   sim::Schedule S = sim::computeSchedule(3, {{}, {}, {}});
-  EXPECT_EQ(S.Groups.size(), 3u);
+  EXPECT_EQ(S.numGroups(), 3u);
 }
 
 TEST(Scheduler, LargeChainIterativeTarjanNoOverflow) {
@@ -59,8 +64,8 @@ TEST(Scheduler, LargeChainIterativeTarjanNoOverflow) {
   for (int I = 0; I + 1 < N; ++I)
     Succ[I].push_back(I + 1);
   sim::Schedule S = sim::computeSchedule(N, Succ);
-  EXPECT_EQ(S.Groups.size(), static_cast<size_t>(N));
-  EXPECT_EQ(S.Groups.front(), std::vector<int>{0});
+  EXPECT_EQ(S.numGroups(), static_cast<size_t>(N));
+  EXPECT_EQ(groupNodes(S, 0), std::vector<int>{0});
 }
 
 //===----------------------------------------------------------------------===//

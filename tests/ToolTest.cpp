@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 namespace {
@@ -235,6 +236,21 @@ TEST(Lssc, StatsJsonToStdout) {
   EXPECT_NE(R.Output.find("\"inference\": {"), std::string::npos);
   EXPECT_NE(R.Output.find("\"unify_steps\":"), std::string::npos);
   EXPECT_NE(R.Output.find("\"reuse\": {"), std::string::npos);
+}
+
+TEST(Lssc, DefaultEngineIsCompiledAndCountsActivity) {
+  // No engine flag: the compiled kernel runs, and its activity counters
+  // are live (not just cycles).
+  ToolResult R = runTool("--stats-json - --run 20 " + modelArgs("c.lss"));
+  EXPECT_EQ(R.ExitCode, 0) << R.Output;
+  EXPECT_NE(R.Output.find("\"engine\": \"compiled\""), std::string::npos)
+      << R.Output;
+  const std::string Key = "\"leaf_evals\": ";
+  size_t At = R.Output.find(Key);
+  ASSERT_NE(At, std::string::npos) << R.Output;
+  EXPECT_GT(std::strtoull(R.Output.c_str() + At + Key.size(), nullptr, 10),
+            0ull)
+      << R.Output;
 }
 
 TEST(Lssc, StatsJsonToFile) {

@@ -198,8 +198,9 @@ void registerFlags(driver::FlagParser &P, CliOptions &Opts) {
   P.custom("--sim-engine", "E",
            "select the simulation engine: interp,\n"
            "selective, wavefront, or compiled (all\n"
-           "produce identical traces); default picks\n"
-           "from --no-selective / --sim-jobs",
+           "produce identical traces); default is\n"
+           "compiled, or interp / wavefront under\n"
+           "--no-selective / --sim-jobs",
            [&Opts](const std::string &Name) {
              if (!sim::parseEngineName(Name, Opts.SimEngine)) {
                std::cerr << "lssc: unknown engine '" << Name
