@@ -1,21 +1,19 @@
 //===- FuzzCache.cpp - Artifact-deserializer fuzz target ----------------------===//
 ///
 /// \file
-/// Attacks the cache's trust boundary: the LSSNL (elaborated netlist),
-/// LSSSOL (inference solution), and LSSKRN (compiled cycle kernel)
-/// deserializers, which parse whatever bytes a cache directory hands
-/// back. Each input is run two ways:
+/// Attacks the cache's trust boundary: the LSSNL (elaborated netlist) and
+/// LSSSOL (inference solution) deserializers, which parse whatever bytes a
+/// cache directory hands back. Each input is run two ways:
 ///
-///   raw    — the bytes go straight into deserializeNetlist, (against a
-///            pristine reloaded netlist) importSolution, and (against a
-///            live compiled-engine simulator) KernelBuilder::load;
+///   raw    — the bytes go straight into deserializeNetlist and (against a
+///            pristine reloaded netlist) importSolution;
 ///   patch  — the bytes are spliced into a known-valid artifact produced
 ///            once from a fixed spec, modeling a partially corrupted cache
 ///            entry, and the result is deserialized.
 ///
 /// Malformed input must be rejected (returning null/false is the cache's
 /// "miss" path); crashes, sanitizer reports, and hangs are bugs. When a
-/// mutated netlist or kernel artifact happens to be *accepted*, the
+/// mutated netlist artifact happens to be *accepted*, the
 /// reload fixpoint must still hold: re-serializing and re-loading the
 /// accepted artifact yields identical bytes. An accept-then-diverge would
 /// let a corrupt entry poison downstream compiles, so that traps too.
@@ -25,8 +23,6 @@
 #include "driver/Compiler.h"
 #include "infer/Solution.h"
 #include "netlist/Serializer.h"
-#include "sim/KernelBuilder.h"
-#include "sim/Simulator.h"
 #include "types/TypeContext.h"
 
 #include <cstddef>
@@ -79,46 +75,6 @@ const SeedArtifacts &seeds() {
     return A;
   }();
   return S;
-}
-
-/// A persistent compiled-engine compile of the fixed spec. KernelBuilder::
-/// load revalidates candidate plans against this simulator's schedule and
-/// slot tables without mutating it, so one compile serves every input.
-struct KernelSeed {
-  driver::Compiler C;
-  sim::Simulator *Sim = nullptr;
-  std::string KernelArt;
-};
-
-KernelSeed &kernelSeed() {
-  static KernelSeed S;
-  static const bool Init = [] {
-    driver::CompilerInvocation Inv;
-    Inv.Sim.Engine = sim::EngineKind::Compiled;
-    if (!S.C.addCoreLibrary() || !S.C.addSource("seed.lss", kSeedSpec) ||
-        !S.C.elaborate(Inv) || !S.C.inferTypes(Inv))
-      return false;
-    S.Sim = S.C.buildSimulator(Inv, nullptr);
-    return S.Sim != nullptr && S.Sim->serializeKernel(S.KernelArt);
-  }();
-  if (!Init)
-    S.Sim = nullptr;
-  return S;
-}
-
-/// Feeds \p Text to the LSSKRN loader. Rejection is the cache-miss path;
-/// an accepted plan must survive a serialize/reload round trip unchanged.
-void exerciseKernel(const std::string &Text) {
-  sim::Simulator *Sim = kernelSeed().Sim;
-  if (!Sim)
-    __builtin_trap(); // The fixed spec must always lower to a kernel.
-  std::unique_ptr<sim::CompiledKernel> K = sim::KernelBuilder::load(*Sim, Text);
-  if (!K)
-    return;
-  std::string S2 = K->serialize();
-  std::unique_ptr<sim::CompiledKernel> K2 = sim::KernelBuilder::load(*Sim, S2);
-  if (!K2 || K2->serialize() != S2)
-    __builtin_trap();
 }
 
 /// Feeds \p Text to both deserializers. The solution import runs against a
@@ -182,12 +138,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
 
   std::string Raw(reinterpret_cast<const char *>(Data), Size);
   exercise(Raw);
-  exerciseKernel(Raw);
   // Splice against both wire formats: v2's strtab/id-reference records
   // and v1's in-place escaped strings take different parse paths.
   exercise(patch(seeds().NetlistArt, Data, Size));
   exercise(patch(seeds().NetlistArtV1, Data, Size));
   exercise(patch(seeds().SolutionArt, Data, Size));
-  exerciseKernel(patch(kernelSeed().KernelArt, Data, Size));
   return 0;
 }

@@ -90,7 +90,8 @@ public:
   virtual interp::Value &state(int StateId) = 0;
 
   /// Emits a declared instrumentation event.
-  virtual void emitEvent(const std::string &Event, interp::Value Payload) = 0;
+  virtual void emitEvent(const std::string &Event,
+                         const interp::Value &Payload) = 0;
 
   virtual uint64_t getCycle() const = 0;
   virtual const std::string &getInstancePath() const = 0;

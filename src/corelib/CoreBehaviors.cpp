@@ -9,10 +9,10 @@
 #include "corelib/CoreLib.h"
 
 #include "bsl/BehaviorRegistry.h"
+#include "corelib/BehaviorState.h"
 #include "corelib/TraceGen.h"
 #include "types/Type.h"
 
-#include <deque>
 #include <mutex>
 
 using namespace liberty;
@@ -394,73 +394,68 @@ private:
 class GenericSource : public LeafBehavior {
 public:
   void init(BehaviorContext &Ctx) override {
-    Rng = static_cast<uint64_t>(paramInt(Ctx, "seed", 1));
+    S = SourceState();
+    S.Rng = static_cast<uint64_t>(paramInt(Ctx, "seed", 1));
     Out = Ctx.bindPort("out");
-    Pattern = paramString(Ctx, "pattern", "counter");
-    ConstVal = paramInt(Ctx, "value", 0);
-    Range = paramInt(Ctx, "range", 0);
+    std::string Pattern = paramString(Ctx, "pattern", "counter");
+    S.Pat = Pattern == "const"    ? SourceState::Pattern::Const
+            : Pattern == "random" ? SourceState::Pattern::Random
+                                  : SourceState::Pattern::Counter;
+    S.ConstVal = paramInt(Ctx, "value", 0);
+    S.Range = paramInt(Ctx, "range", 0);
     // Adapt to the inferred port type (type-dependent BSL fragment).
     const types::Type *Ty = Ctx.getPortType("out");
-    FloatOut = Ty && Ty->getKind() == types::Type::Kind::Float;
+    S.FloatOut = Ty && Ty->getKind() == types::Type::Kind::Float;
+    S.HasGenerate = Ctx.hasUserpoint(generateName());
   }
   void evaluate(BehaviorContext &Ctx) override {
     // A customized generate userpoint wins; otherwise follow the pattern.
-    Value V = Ctx.callUserpoint(
-        "generate", {Value::makeInt(static_cast<int64_t>(Ctx.getCycle()))});
-    if (V.isUnset()) {
-      int64_t N;
-      if (Pattern == "const")
-        N = ConstVal;
-      else if (Pattern == "random") {
-        Rng = Rng * 6364136223846793005ULL + 1442695040888963407ULL;
-        N = static_cast<int64_t>(Rng >> 40);
-      } else
-        N = static_cast<int64_t>(Ctx.getCycle());
-      if (Range > 0)
-        N = ((N % Range) + Range) % Range;
-      V = Value::makeInt(N);
-    }
-    if (FloatOut && V.isInt())
+    Value V;
+    if (S.HasGenerate)
+      V = Ctx.callUserpoint(
+          generateName(),
+          {Value::makeInt(static_cast<int64_t>(Ctx.getCycle()))});
+    if (V.isUnset())
+      V = Value::makeInt(sourceNext(S, Ctx.getCycle()));
+    if (S.FloatOut && V.isInt())
       V = Value::makeFloat(static_cast<double>(V.getInt()));
     for (int I = 0, W = Ctx.getWidth(Out); I != W; ++I)
       Ctx.setOutput(Out, I, V);
   }
 
+  SourceState S;
+
 private:
-  uint64_t Rng = 1;
+  static const std::string &generateName() {
+    static const std::string Name = "generate";
+    return Name;
+  }
+
   int Out = -1;
-  std::string Pattern;
-  int64_t ConstVal = 0;
-  int64_t Range = 0;
-  bool FloatOut = false;
 };
 
 class BoolSource : public LeafBehavior {
 public:
   void init(BehaviorContext &Ctx) override {
-    Rng = static_cast<uint64_t>(paramInt(Ctx, "seed", 7)) * 2654435761u + 1;
+    S = BoolSourceState();
+    S.Rng = static_cast<uint64_t>(paramInt(Ctx, "seed", 7)) * 2654435761u + 1;
     Out = Ctx.bindPort("out");
-    Pattern = paramString(Ctx, "pattern", "toggle");
+    std::string Pattern = paramString(Ctx, "pattern", "toggle");
+    S.Pat = Pattern == "const_true"    ? BoolSourceState::Pattern::ConstTrue
+            : Pattern == "const_false" ? BoolSourceState::Pattern::ConstFalse
+            : Pattern == "random"      ? BoolSourceState::Pattern::Random
+                                       : BoolSourceState::Pattern::Toggle;
   }
   void evaluate(BehaviorContext &Ctx) override {
-    bool B;
-    if (Pattern == "const_true")
-      B = true;
-    else if (Pattern == "const_false")
-      B = false;
-    else if (Pattern == "random") {
-      Rng = Rng * 6364136223846793005ULL + 1442695040888963407ULL;
-      B = (Rng >> 40) & 1;
-    } else
-      B = Ctx.getCycle() % 2 == 1;
+    bool B = boolSourceNext(S, Ctx.getCycle());
     for (int I = 0, W = Ctx.getWidth(Out); I != W; ++I)
       Ctx.setOutput(Out, I, Value::makeBool(B));
   }
 
+  BoolSourceState S;
+
 private:
-  uint64_t Rng = 1;
   int Out = -1;
-  std::string Pattern;
 };
 
 class Sink : public LeafBehavior {
@@ -768,45 +763,35 @@ private:
 class Queue : public LeafBehavior {
 public:
   void init(BehaviorContext &Ctx) override {
-    Q.clear();
-    Depth = static_cast<size_t>(std::max<int64_t>(1, paramInt(Ctx, "depth", 4)));
+    S.Q.clear();
+    S.SentThisCycle = false;
+    S.Depth =
+        static_cast<size_t>(std::max<int64_t>(1, paramInt(Ctx, "depth", 4)));
     In = Ctx.bindPort("in");
     Stall = Ctx.bindPort("stall");
     Out = Ctx.bindPort("out");
     Occupancy = Ctx.bindState("occupancy");
   }
   void evaluate(BehaviorContext &Ctx) override {
-    SentThisCycle = !Q.empty();
-    if (SentThisCycle)
-      Ctx.setOutput(Out, 0, Q.front());
-    Ctx.state(Occupancy) = Value::makeInt(static_cast<int64_t>(Q.size()));
+    if (const Value *Front = queueFront(S))
+      Ctx.setOutput(Out, 0, *Front);
+    Ctx.state(Occupancy) = Value::makeInt(static_cast<int64_t>(S.Q.size()));
   }
   void endOfTimestep(BehaviorContext &Ctx) override {
-    bool Stalled = stallAsserted(Ctx, Stall);
-    if (SentThisCycle && !Stalled) {
-      Ctx.emitEvent("dequeue", Q.front());
-      Q.pop_front();
-    }
-    for (int I = 0, W = Ctx.getWidth(In); I != W; ++I) {
-      const Value *V = Ctx.getInput(In, I);
-      if (!V)
-        continue;
-      if (Q.size() >= Depth) {
-        Ctx.emitEvent("full", *V);
-        continue;
-      }
-      Q.push_back(*V);
-      Ctx.emitEvent("enqueue", *V);
-    }
+    queueEndOfTimestep(
+        S, stallAsserted(Ctx, Stall), Ctx.getWidth(In),
+        [&](int I) { return Ctx.getInput(In, I); },
+        [&](QueueEvent E, const Value &V) {
+          Ctx.emitEvent(queueEventName(E), V);
+        });
   }
   bool readsCombinationally(const std::string &) const override {
     return false;
   }
 
+  QueueState S;
+
 private:
-  std::deque<Value> Q;
-  size_t Depth = 4;
-  bool SentThisCycle = false;
   int In = -1;
   int Stall = -1;
   int Out = -1;
@@ -863,6 +848,28 @@ private:
 };
 
 } // namespace
+
+const std::string &liberty::corelib::queueEventName(QueueEvent E) {
+  static const std::string Names[] = {"dequeue", "full", "enqueue"};
+  return Names[static_cast<unsigned>(E)];
+}
+
+// dynamic_cast rather than trusting the id: a behavior re-registered under
+// a corelib id simply stays on the generic path.
+QueueState *liberty::corelib::queueStateOf(LeafBehavior &B) {
+  auto *Q = dynamic_cast<Queue *>(&B);
+  return Q ? &Q->S : nullptr;
+}
+
+SourceState *liberty::corelib::sourceStateOf(LeafBehavior &B) {
+  auto *Src = dynamic_cast<GenericSource *>(&B);
+  return Src ? &Src->S : nullptr;
+}
+
+BoolSourceState *liberty::corelib::boolSourceStateOf(LeafBehavior &B) {
+  auto *Src = dynamic_cast<BoolSource *>(&B);
+  return Src ? &Src->S : nullptr;
+}
 
 void liberty::corelib::registerCoreBehaviors() {
   // call_once, not a check-then-register probe: concurrent batch compiles

@@ -79,10 +79,6 @@ struct CompileResult {
   /// Which phases were satisfied from the artifact cache.
   bool ElabFromCache = false;
   bool SolutionFromCache = false;
-  /// True when the compiled engine adopted a cached LSSKRN kernel plan
-  /// instead of lowering the netlist from scratch. Always false for the
-  /// other engines (they build no kernel).
-  bool KernelFromCache = false;
 
   /// Incremental-recompilation outcome (compileIncremental only).
   IncrementalStats Incremental;

@@ -189,17 +189,12 @@ bool Compiler::inferTypes(const CompilerInvocation &Inv,
 }
 
 sim::Simulator *Compiler::buildSimulator(const CompilerInvocation &Inv) {
-  return buildSimulator(Inv, nullptr);
-}
-
-sim::Simulator *Compiler::buildSimulator(const CompilerInvocation &Inv,
-                                         const std::string *KernelArtifact) {
   if (!NL) {
     Diags.error(SourceLoc(), "buildSimulator called before elaborate");
     return nullptr;
   }
   PhaseTimer::Scope Phase(&Timer, "sim-build");
-  Sim = sim::Simulator::build(*NL, SM, Diags, Inv.Sim, KernelArtifact);
+  Sim = sim::Simulator::build(*NL, SM, Diags, Inv.Sim);
   return Sim.get();
 }
 

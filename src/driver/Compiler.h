@@ -95,12 +95,6 @@ public:
   /// (elaborate + inferTypes must have succeeded). The Compiler owns the
   /// result.
   sim::Simulator *buildSimulator(const CompilerInvocation &Inv);
-  /// As above, but when \p KernelArtifact is non-null and the compiled
-  /// engine is selected, the simulator first tries to adopt that cached
-  /// LSSKRN plan instead of lowering the netlist from scratch (falling
-  /// back to a fresh lowering if the artifact does not validate).
-  sim::Simulator *buildSimulator(const CompilerInvocation &Inv,
-                                 const std::string *KernelArtifact);
   /// \deprecated Shim for pre-invocation callers; default options.
   sim::Simulator *buildSimulator() {
     return buildSimulator(CompilerInvocation());

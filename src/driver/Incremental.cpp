@@ -15,7 +15,6 @@
 
 #include "infer/Solution.h"
 #include "netlist/Serializer.h"
-#include "sim/CompiledKernel.h"
 #include "sim/Simulator.h"
 
 #include <algorithm>
@@ -591,34 +590,13 @@ CompileResult CompileService::compileIncremental(const CompilerInvocation &Inv) 
       ++Inc.GroupsSpliced;
   Inc.GroupsResolved = Inc.GroupsTotal - Inc.GroupsSpliced;
 
-  // --- Simulator construction — identical to compile()'s kernel phase. ---
-  if (Inv.BuildSim) {
-    const bool WantKernel =
-        sim::resolveEngine(Inv.Sim) == sim::EngineKind::Compiled;
-    std::string KernelPayload;
-    const std::string *KernelArt = nullptr;
-    if (WantKernel && Cache.get(ElabKeyStr, "kernel", KernelPayload))
-      KernelArt = &KernelPayload;
-    if (!C.buildSimulator(Inv, KernelArt) || C.getDiags().hasErrors()) {
-      R.Failed = CompileResult::Phase::SimBuild;
-      R.Incremental = Inc;
-      recordIncremental(R.Incremental);
-      return R;
-    }
-    if (WantKernel) {
-      const sim::KernelStats *KS = C.getSimulator()->getKernelStats();
-      if (KS && KS->FromCache) {
-        R.KernelFromCache = true;
-      } else {
-        if (KernelArt)
-          C.getDiags().note(SourceLoc(),
-                            "ignoring unreadable cache entry for key " +
-                                ElabKeyStr + " (kernel); recompiling");
-        std::string Out;
-        if (C.getSimulator()->serializeKernel(Out))
-          Cache.put(ElabKeyStr, "kernel", Out);
-      }
-    }
+  // --- Simulator construction — identical to compile()'s. ---
+  if (Inv.BuildSim &&
+      (!C.buildSimulator(Inv) || C.getDiags().hasErrors())) {
+    R.Failed = CompileResult::Phase::SimBuild;
+    R.Incremental = Inc;
+    recordIncremental(R.Incremental);
+    return R;
   }
 
   storeDepGraph(Inv, C, DiagStart);

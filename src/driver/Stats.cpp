@@ -173,8 +173,6 @@ void liberty::driver::printStatsJson(std::ostream &OS, const ModelStats &S,
        << "    \"bypass_cycles\": " << A.BypassCycles;
     if (const sim::KernelStats *KS = Sim->getKernelStats()) {
       OS << ",\n"
-         << "    \"kernel_from_cache\": " << (KS->FromCache ? "true" : "false")
-         << ",\n"
          << "    \"kernel_build_ms\": " << std::fixed << std::setprecision(3)
          << KS->BuildMs << ",\n"
          << "    \"kernel_ops\": " << KS->NumOps << ",\n"
@@ -182,7 +180,13 @@ void liberty::driver::printStatsJson(std::ostream &OS, const ModelStats &S,
          << ",\n"
          << "    \"kernel_generic_ops\": " << KS->NumGenericOps << ",\n"
          << "    \"kernel_seq_ops\": " << KS->NumSeqOps << ",\n"
-         << "    \"kernel_seq_elided\": " << KS->NumSeqElided;
+         << "    \"kernel_seq_elided\": " << KS->NumSeqElided << ",\n"
+         << "    \"kernel_ops_by_kind\": {";
+      for (unsigned K = 0; K != sim::NumKernelOpKinds; ++K)
+        OS << (K ? ", " : "") << "\""
+           << sim::CompiledKernel::opKindName(sim::KernelOpKind(K))
+           << "\": " << KS->OpsByKind[K];
+      OS << "}";
     }
     if (CyclesPerSec > 0.0)
       OS << ",\n    \"cycles_per_s\": " << std::fixed << std::setprecision(1)
@@ -209,9 +213,7 @@ void liberty::driver::printStatsJson(std::ostream &OS, const ModelStats &S,
        << "    \"elab_from_cache\": "
        << (Cache->ElabFromCache ? "true" : "false") << ",\n"
        << "    \"solution_from_cache\": "
-       << (Cache->SolutionFromCache ? "true" : "false") << ",\n"
-       << "    \"kernel_from_cache\": "
-       << (Cache->KernelFromCache ? "true" : "false") << "\n"
+       << (Cache->SolutionFromCache ? "true" : "false") << "\n"
        << "  },\n";
   }
 

@@ -102,7 +102,6 @@ struct CacheReport {
   CacheStats Stats;
   bool ElabFromCache = false;
   bool SolutionFromCache = false;
-  bool KernelFromCache = false;
 };
 
 /// Serializes one compilation's observability record as a JSON document:

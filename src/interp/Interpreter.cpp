@@ -699,6 +699,23 @@ void Interpreter::resolveSelfEndpoint(BodyState &BS,
   int Index = H.Index;
   if (Index < 0)
     Index = BS.SelfPortAutoIdx[H.Port]++;
+  // The port's width counts the enclosing module's connections to it
+  // (Section 4.2), so an internal use past it has no port instance to
+  // attach to. Unconnected port instances are legal, so this is only a
+  // warning; the simulator drops the endpoint.
+  if (Index >= P->Width &&
+      BS.WarnedBeyondWidth.emplace(H.Port, Loc.Offset).second) {
+    const std::string Endpoint =
+        BS.Node->Path + "." + H.Port + "[" + std::to_string(Index) + "]";
+    Diags.warning(Loc, "connection endpoint '" + Endpoint +
+                           "' is beyond the width " +
+                           std::to_string(P->Width) + " of port '" + H.Port +
+                           "' and is dropped");
+    Diags.note(P->Loc, "port '" + H.Port + "' of instance '" +
+                           BS.Node->Path +
+                           "' is declared here; its width counts the "
+                           "connections the enclosing module makes to it");
+  }
   netlist::PortRef &Ref = IsFrom ? Conn->From : Conn->To;
   Ref.Inst = BS.Node;
   Ref.Port = H.Port;

@@ -146,6 +146,9 @@ private:
     std::set<std::string> DeclaredPorts;
     /// Auto-index counters for unindexed internal uses of own ports.
     std::map<std::string, int> SelfPortAutoIdx;
+    /// (own port, connection offset) pairs already warned about as beyond
+    /// the port's width: one warning per statement, not per loop trip.
+    std::set<std::pair<std::string, uint32_t>> WarnedBeyondWidth;
   };
 
   void evalBody(netlist::InstanceNode *Node,

@@ -4,6 +4,7 @@
 
 #include "types/Type.h"
 
+#include <algorithm>
 #include <cassert>
 #include <sstream>
 
@@ -44,19 +45,36 @@ const PortHandle EmptyPort;
 } // namespace
 
 Value Value::makeString(std::string V) {
-  return Value(Kind::String, new StringPayload(std::move(V)));
+  auto *P = new StringPayload(std::move(V));
+  P->Reflexive = true;
+  return Value(Kind::String, P);
 }
 
 Value Value::makeArray(std::vector<Value> Elems) {
-  return Value(Kind::Array, new ArrayPayload(std::move(Elems)));
+  auto *P = new ArrayPayload(std::move(Elems));
+  P->Reflexive = std::all_of(P->Elems.begin(), P->Elems.end(),
+                             [](const Value &E) { return E.isReflexive(); });
+  return Value(Kind::Array, P);
 }
 
 Value Value::makeStruct(std::vector<std::pair<std::string, Value>> Fields) {
-  return Value(Kind::Struct, new StructPayload(std::move(Fields)));
+  auto *P = new StructPayload(std::move(Fields));
+  P->Reflexive =
+      std::all_of(P->Fields.begin(), P->Fields.end(),
+                  [](const auto &F) { return F.second.isReflexive(); });
+  return Value(Kind::Struct, P);
 }
 
 Value Value::makePort(PortHandle H) {
-  return Value(Kind::Port, new PortPayload(std::move(H)));
+  auto *P = new PortPayload(std::move(H));
+  P->Reflexive = true; // Compared by identity fields: never NaN.
+  return Value(Kind::Port, P);
+}
+
+bool Value::isReflexive() const {
+  if (hasPayload())
+    return W.P->Reflexive;
+  return !(K == Kind::Float && W.F != W.F);
 }
 
 void Value::release() {
@@ -110,6 +128,7 @@ Payload *Value::unshare() {
     assert(false && "unshare of an inline value");
     return W.P;
   }
+  Copy->Reflexive = W.P->Reflexive;
   CowCopiedEntries += Entries;
   release();
   W.P = Copy;
@@ -155,7 +174,9 @@ const std::vector<Value> &Value::getElems() const {
 
 std::vector<Value> &Value::getElemsMutable() {
   assert(K == Kind::Array && "not an array value");
-  return static_cast<ArrayPayload *>(unshare())->Elems;
+  Payload *P = unshare();
+  P->Reflexive = false; // The caller may store a NaN.
+  return static_cast<ArrayPayload *>(P)->Elems;
 }
 
 const std::vector<std::pair<std::string, Value>> &Value::getFields() const {
@@ -166,7 +187,9 @@ const std::vector<std::pair<std::string, Value>> &Value::getFields() const {
 
 std::vector<std::pair<std::string, Value>> &Value::getFieldsMutable() {
   assert(K == Kind::Struct && "not a struct value");
-  return static_cast<StructPayload *>(unshare())->Fields;
+  Payload *P = unshare();
+  P->Reflexive = false; // The caller may store a NaN.
+  return static_cast<StructPayload *>(P)->Fields;
 }
 
 const Value *Value::getField(const std::string &Name) const {
@@ -198,7 +221,7 @@ PortHandle &Value::getPortMutable() {
   return static_cast<PortPayload *>(unshare())->H;
 }
 
-bool Value::equals(const Value &Other) const {
+bool Value::equalsSlow(const Value &Other) const {
   if (K != Other.K)
     return false;
   switch (K) {

@@ -16,6 +16,10 @@
 /// still refers to it (copy-on-write), so writing through one Value never
 /// changes another.
 ///
+/// Equality: two Values sharing one payload are equal without a walk when
+/// the payload is Reflexive (it holds no NaN float at any depth), which
+/// is what lets the simulator compare a re-sent struct bus in O(1).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LIBERTY_INTERP_VALUE_H
@@ -57,6 +61,11 @@ namespace detail {
 /// Common header of the shared String/Array/Struct/Port payloads.
 struct Payload {
   std::atomic<uint32_t> Refs{1};
+  /// Set when the contents hold no NaN float at any depth, so a Value is
+  /// equal to any other Value sharing this payload. Set at construction
+  /// (makeString/makePort always, makeArray/makeStruct after a scan) and
+  /// cleared by the `*Mutable` accessors, which may write a NaN.
+  bool Reflexive = false;
 };
 } // namespace detail
 
@@ -184,8 +193,23 @@ public:
   PortHandle &getPortMutable();
 
   /// Structural equality on data kinds (Unset equals Unset; InstanceRef and
-  /// Port compare by identity).
-  bool equals(const Value &Other) const;
+  /// Port compare by identity). O(1) when both sides hold the same inline
+  /// non-NaN word or share one Reflexive payload; element-wise otherwise,
+  /// so a NaN anywhere keeps a value unequal to itself.
+  bool equals(const Value &Other) const {
+    if (identical(Other) &&
+        (hasPayload() ? W.P->Reflexive : !(K == Kind::Float && W.F != W.F)))
+      return true;
+    return equalsSlow(Other);
+  }
+
+  /// Same kind and same word: equal inline bits or one shared payload.
+  /// Stricter than equals() (0.0 and -0.0 are not identical) and blind to
+  /// NaN (a NaN is identical to itself); for callers that only need to
+  /// know that a store would change nothing.
+  bool identical(const Value &Other) const {
+    return K == Other.K && W.I == Other.W.I;
+  }
 
   /// True if this data value conforms to ground type \p Ty.
   bool conformsTo(const types::Type *Ty) const;
@@ -219,6 +243,10 @@ private:
   }
   /// Drops this Value's reference to its payload (freeing it if last).
   void release();
+  /// The element-wise comparison behind equals().
+  bool equalsSlow(const Value &Other) const;
+  /// True if this value holds no NaN float at any depth.
+  bool isReflexive() const;
   /// Makes the payload exclusively this Value's and returns it.
   detail::Payload *unshare();
 

@@ -501,8 +501,8 @@ bool liberty::netlist::serializeNetlist(
 //===----------------------------------------------------------------------===//
 
 // The field splitter/decoder moved to the public header as
-// netlist::ArtifactLineReader so other artifact parsers (infer/Solution,
-// the simulator's LSSKRN kernel plans) share one hardened implementation.
+// netlist::ArtifactLineReader so other artifact parsers (infer/Solution)
+// share one hardened implementation.
 using LineReader = liberty::netlist::ArtifactLineReader;
 using FieldDecoder = liberty::netlist::ArtifactFieldDecoder<LineReader>;
 

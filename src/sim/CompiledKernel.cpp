@@ -9,15 +9,16 @@
 /// neither of which a specialized op sees). Event emission — one automatic
 /// port event per write call, payload read back from the net after the
 /// write — is kept call-for-call identical so traces match the serial
-/// interpreter bit for bit.
+/// interpreter bit for bit. The stateful kinds (source, bool_source,
+/// queue) call the same inline steps the corelib behaviors call
+/// (corelib/BehaviorState.h), on the behavior's own state.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "sim/CompiledKernel.h"
 
+#include "corelib/BehaviorState.h"
 #include "sim/SimRuntime.h"
-
-#include <sstream>
 
 using namespace liberty;
 using namespace liberty::sim;
@@ -36,26 +37,24 @@ const char *CompiledKernel::opKindName(OpKind K) {
     return "const_source";
   case OpKind::CounterSource:
     return "counter_source";
+  case OpKind::SourceGen:
+    return "source";
+  case OpKind::BoolSource:
+    return "bool_source";
   case OpKind::Adder:
     return "adder";
   case OpKind::Fanout:
     return "fanout";
   case OpKind::DelayEval:
     return "delay_eval";
+  case OpKind::RegEval:
+    return "reg_eval";
+  case OpKind::QueueEval:
+    return "queue_eval";
   case OpKind::Sink:
     return "sink";
   }
   return "generic";
-}
-
-const char *CompiledKernel::seqKindName(SeqKind K) {
-  switch (K) {
-  case SeqKind::GenericEot:
-    return "eot";
-  case SeqKind::DelayLatch:
-    return "delay_latch";
-  }
-  return "eot";
 }
 
 namespace {
@@ -117,9 +116,40 @@ void CompiledKernel::run(Simulator &Sim, uint64_t N) {
   char *Evaluated = Sim.GroupEvaluated.data();
   const Schedule &Sched = Sim.Sched;
   Counters C;
+  uint64_t Cycle = Sim.Cycle;
 
-  for (uint64_t Step = 0; Step != N; ++Step) {
-    const uint64_t Cycle = Sim.Cycle;
+  // The value on net \p NetId this cycle, or null (no net, or nothing
+  // sent) — Runtime::getInput over a resolved net id.
+  auto input = [Nets](int32_t NetId) -> const Value * {
+    return NetId >= 0 && Nets[NetId].Has ? &Nets[NetId].V : nullptr;
+  };
+  // Sends \p V on every net of \p O.Out, one automatic port event per
+  // write with the payload read back from the net, as setOutput does.
+  auto send = [&](const Op &O, const Value &V) {
+    for (int32_t K = 0; K != O.Out.Count; ++K) {
+      Simulator::Net &Nt = Nets[Pool[O.Out.Begin + K]];
+      writeNet(Nt, V, Cycle, C);
+      if (Emit)
+        Sim.Instr.emit(Event{O.Path, O.EventName, Cycle, &Nt.V});
+    }
+  };
+  // send() for an integer, stored in place with no Value temporary.
+  auto sendInt = [&](const Op &O, int64_t V) {
+    for (int32_t K = 0; K != O.Out.Count; ++K) {
+      Simulator::Net &Nt = Nets[Pool[O.Out.Begin + K]];
+      writeNetInt(Nt, V, Cycle, C);
+      if (Emit)
+        Sim.Instr.emit(Event{O.Path, O.EventName, Cycle, &Nt.V});
+    }
+  };
+  auto sendAny = [&](const Op &O, const Value &V) {
+    if (V.isInt())
+      sendInt(O, V.getInt());
+    else
+      send(O, V);
+  };
+
+  for (uint64_t Step = 0; Step != N; ++Step, Cycle = Sim.Cycle) {
     for (const Op &O : Ops) {
       if (O.Skippable && !Emit && Evaluated[O.Group]) {
         // Quiescent unless a net the op reads changed this cycle. Every
@@ -169,98 +199,67 @@ void CompiledKernel::run(Simulator &Sim, uint64_t N) {
       case OpKind::ConstSource:
         // classifyGroup only specializes integer-valued const_source
         // params; ImmA holds the value.
-        for (int32_t K = 0; K != O.Out.Count; ++K) {
-          Simulator::Net &Nt = Nets[Pool[O.Out.Begin + K]];
-          writeNetInt(Nt, O.ImmA, Cycle, C);
-          if (Emit)
-            Sim.Instr.emit(Event{O.Path, O.EventName, Cycle, &Nt.V});
-        }
+        sendInt(O, O.ImmA);
         break;
 
-      case OpKind::CounterSource: {
-        const int64_t CV = O.ImmA + O.ImmB * int64_t(Cycle);
-        for (int32_t K = 0; K != O.Out.Count; ++K) {
-          Simulator::Net &Nt = Nets[Pool[O.Out.Begin + K]];
-          writeNetInt(Nt, CV, Cycle, C);
-          if (Emit)
-            Sim.Instr.emit(Event{O.Path, O.EventName, Cycle, &Nt.V});
-        }
+      case OpKind::CounterSource:
+        sendInt(O, O.ImmA + O.ImmB * int64_t(Cycle));
+        break;
+
+      case OpKind::SourceGen: {
+        // Lowered only without a generate userpoint: the pattern alone.
+        corelib::SourceState &S = *O.Behavior.Source;
+        const int64_t V = corelib::sourceNext(S, Cycle);
+        if (S.FloatOut)
+          send(O, Value::makeFloat(static_cast<double>(V)));
+        else
+          sendInt(O, V);
         break;
       }
+
+      case OpKind::BoolSource:
+        send(O, Value::makeBool(corelib::boolSourceNext(*O.Behavior.BoolSrc,
+                                                        Cycle)));
+        break;
 
       case OpKind::Adder: {
         // In = {in1[0], in2[0]} (either may be -1: never fires, exactly
         // like getInput on an unconnected port). Out holds at most the
         // one connected out[0] net.
-        int32_t A = Pool[O.In.Begin], B = Pool[O.In.Begin + 1];
-        if (A < 0 || B < 0)
+        const Value *A = input(Pool[O.In.Begin]);
+        const Value *B = input(Pool[O.In.Begin + 1]);
+        if (!A || !B)
           break;
-        const Simulator::Net &NA = Nets[A], &NB = Nets[B];
-        if (!NA.Has || !NB.Has)
-          break;
-        if (NA.V.isInt() && NB.V.isInt()) {
-          const int64_t Sum = NA.V.getInt() + NB.V.getInt();
-          for (int32_t K = 0; K != O.Out.Count; ++K) {
-            Simulator::Net &Nt = Nets[Pool[O.Out.Begin + K]];
-            writeNetInt(Nt, Sum, Cycle, C);
-            if (Emit)
-              Sim.Instr.emit(Event{O.Path, O.EventName, Cycle, &Nt.V});
-          }
-          break;
-        }
-        const Value Sum =
-            Value::makeFloat(NA.V.getNumeric() + NB.V.getNumeric());
-        for (int32_t K = 0; K != O.Out.Count; ++K) {
-          Simulator::Net &Nt = Nets[Pool[O.Out.Begin + K]];
-          writeNet(Nt, Sum, Cycle, C);
-          if (Emit)
-            Sim.Instr.emit(Event{O.Path, O.EventName, Cycle, &Nt.V});
-        }
+        if (A->isInt() && B->isInt())
+          sendInt(O, A->getInt() + B->getInt());
+        else
+          send(O, Value::makeFloat(A->getNumeric() + B->getNumeric()));
         break;
       }
 
-      case OpKind::Fanout: {
-        int32_t InNet = Pool[O.In.Begin];
-        if (InNet < 0 || !Nets[InNet].Has)
-          break;
-        const Value &V = Nets[InNet].V;
-        if (V.isInt()) {
-          const int64_t IV = V.getInt();
-          for (int32_t K = 0; K != O.Out.Count; ++K) {
-            Simulator::Net &Nt = Nets[Pool[O.Out.Begin + K]];
-            writeNetInt(Nt, IV, Cycle, C);
-            if (Emit)
-              Sim.Instr.emit(Event{O.Path, O.EventName, Cycle, &Nt.V});
-          }
-          break;
-        }
-        for (int32_t K = 0; K != O.Out.Count; ++K) {
-          Simulator::Net &Nt = Nets[Pool[O.Out.Begin + K]];
-          writeNet(Nt, V, Cycle, C);
-          if (Emit)
-            Sim.Instr.emit(Event{O.Path, O.EventName, Cycle, &Nt.V});
-        }
+      case OpKind::Fanout:
+        if (const Value *V = input(Pool[O.In.Begin]))
+          sendAny(O, *V);
         break;
-      }
 
       case OpKind::DelayEval:
-        if (O.State->isInt()) {
-          const int64_t SV = O.State->getInt();
-          for (int32_t K = 0; K != O.Out.Count; ++K) {
-            Simulator::Net &Nt = Nets[Pool[O.Out.Begin + K]];
-            writeNetInt(Nt, SV, Cycle, C);
-            if (Emit)
-              Sim.Instr.emit(Event{O.Path, O.EventName, Cycle, &Nt.V});
-          }
-          break;
-        }
-        for (int32_t K = 0; K != O.Out.Count; ++K) {
-          Simulator::Net &Nt = Nets[Pool[O.Out.Begin + K]];
-          writeNet(Nt, *O.State, Cycle, C);
-          if (Emit)
-            Sim.Instr.emit(Event{O.Path, O.EventName, Cycle, &Nt.V});
-        }
+        sendAny(O, *O.State);
         break;
+
+      case OpKind::RegEval:
+        // A reg sends only once it has latched a value.
+        if (O.State->isData())
+          sendAny(O, *O.State);
+        break;
+
+      case OpKind::QueueEval: {
+        // Out holds at most the one connected out[0] net.
+        corelib::QueueState &Q = *O.Behavior.Queue;
+        if (const Value *Front = corelib::queueFront(Q))
+          send(O, *Front);
+        O.State->setInt(static_cast<int64_t>(Q.Q.size()));
+        break;
+      }
 
       case OpKind::Sink:
         // In lists the connected input nets in port-index order; the
@@ -290,17 +289,48 @@ void CompiledKernel::run(Simulator &Sim, uint64_t N) {
     // Sequential phase, in runtime index order (== runSequentialPhase),
     // then the end_of_timestep userpoints.
     for (const SeqOp &S : SeqOps) {
-      if (S.Kind == SeqKind::DelayLatch) {
-        if (S.InNet >= 0 && Nets[S.InNet].Has) {
-          const Value &V = Nets[S.InNet].V;
-          if (V.isInt())
-            S.State->setInt(V.getInt());
+      switch (S.Kind) {
+      case SeqKind::DelayLatch:
+        if (const Value *V = input(S.InNet)) {
+          if (V->isInt())
+            S.State->setInt(V->getInt());
           else
-            *S.State = V;
+            *S.State = *V;
         }
-      } else {
+        break;
+
+      case SeqKind::RegLatch: {
+        if (S.CtlNet != AlwaysEnabled) {
+          const Value *En = input(S.CtlNet);
+          if (!En || !En->isBool() || !En->getBool())
+            break; // Disabled: hold.
+        }
+        // A value already held (same kind and word, e.g. the one shared
+        // payload a reg chain passes along) needs no store.
+        const Value *V = input(S.InNet);
+        if (V && !S.State->identical(*V))
+          *S.State = *V;
+        break;
+      }
+
+      case SeqKind::QueueEot: {
+        const Value *Stall = input(S.CtlNet);
+        corelib::queueEndOfTimestep(
+            *S.Queue, Stall && Stall->isBool() && Stall->getBool(),
+            S.In.Count, [&](int I) { return input(Pool[S.In.Begin + I]); },
+            [&](corelib::QueueEvent E, const Value &V) {
+              if (Emit)
+                Sim.Instr.emit(
+                    Event{S.Path, &corelib::queueEventName(E), Cycle, &V});
+            });
+        break;
+      }
+
+      case SeqKind::GenericEot: {
         Simulator::Runtime *RT = Sim.Runtimes[size_t(S.RuntimeIdx)];
         RT->Behavior->endOfTimestep(*RT);
+        break;
+      }
       }
     }
     Sim.runEndOfTimestepUserpoints();
@@ -317,33 +347,4 @@ void CompiledKernel::run(Simulator &Sim, uint64_t N) {
   A.LeafEvalsSkipped += C.GroupsSkipped;
   A.NetWrites += C.NetWrites;
   A.NetChanges += C.NetChanges;
-}
-
-//===----------------------------------------------------------------------===//
-// LSSKRN 1 serialization
-//===----------------------------------------------------------------------===//
-
-std::string CompiledKernel::serialize() const {
-  std::ostringstream OS;
-  OS << "LSSKRN 1\n";
-  OS << "counts " << Ops.size() << " " << SeqOps.size() << " "
-     << NetPool.size() << "\n";
-  auto EmitRange = [&](const char *Tag, const Range &R) {
-    OS << " " << Tag << " " << R.Count;
-    for (int32_t K = 0; K != R.Count; ++K)
-      OS << " " << NetPool[size_t(R.Begin + K)];
-  };
-  for (const Op &O : Ops) {
-    OS << "op " << opKindName(O.Kind) << " " << O.Group << " " << O.RuntimeIdx
-       << " " << O.ImmA << " " << O.ImmB;
-    EmitRange("prep", O.Prep);
-    EmitRange("out", O.Out);
-    EmitRange("in", O.In);
-    OS << "\n";
-  }
-  for (const SeqOp &S : SeqOps)
-    OS << "seq " << seqKindName(S.Kind) << " " << S.RuntimeIdx << " "
-       << S.InNet << "\n";
-  OS << "end\n";
-  return OS.str();
 }

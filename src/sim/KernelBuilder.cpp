@@ -3,20 +3,21 @@
 /// \file
 /// Classification and packing for the compiled engine. Lowering is a pure
 /// function of the constructed simulator and writes each op's net lists
-/// straight into the kernel's shared NetPool. load() revalidates a cached
-/// LSSKRN artifact by lowering afresh and comparing the canonical
-/// serialization byte for byte, so an adopted cache entry is exactly the
-/// plan a cold build produces — a mismatch anywhere rejects the artifact.
+/// straight into the kernel's shared NetPool.
 ///
-/// Devirtualization trusts behavior ids: "corelib/adder" is assumed to be
-/// the in-tree Adder, etc. That holds for this repo's global registry
-/// (later re-registration under a corelib id would break the contract and
-/// is pinned against by the cross-engine differential tests).
+/// Devirtualization trusts behavior ids for the stateless kinds:
+/// "corelib/adder" is assumed to be the in-tree Adder, etc. That holds for
+/// this repo's global registry (later re-registration under a corelib id
+/// would break the contract and is pinned against by the cross-engine
+/// differential tests). The stateful kinds (queue, source, bool_source)
+/// additionally need the behavior's own state struct, which
+/// corelib/BehaviorState.h hands out only for the in-tree class.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "sim/KernelBuilder.h"
 
+#include "corelib/BehaviorState.h"
 #include "sim/SimRuntime.h"
 
 using namespace liberty;
@@ -87,6 +88,14 @@ private:
     return R;
   }
 
+  /// Appends the net of (\p Port, index 0) when it has one and returns
+  /// its range (for behaviors that send on out[0] only).
+  CompiledKernel::Range appendNet0(const Simulator::Runtime *RT,
+                                   const char *Port) {
+    const int Net = portNet0(RT, Port);
+    return append({&Net, Net >= 0 ? 1u : 0u});
+  }
+
   /// Net id of (\p Port, index 0), or -1 (absent port / zero width /
   /// unconnected — all read as "no value" and swallow writes).
   int32_t portNet0(const Simulator::Runtime *RT, const char *Port) const {
@@ -98,8 +107,8 @@ private:
   }
 
   /// The op kind for singleton runtime \p RT, or Generic. Only recognized
-  /// corelib behaviors with resolvable state slots (init() has run, so
-  /// bound slots exist) specialize.
+  /// corelib behaviors with resolvable state (init() has run, so bound
+  /// slots exist) specialize.
   static OpKind classify(Simulator::Runtime *RT) {
     if (!RT->Behavior)
       return OpKind::Generic;
@@ -108,12 +117,25 @@ private:
       return OpKind::ConstSource;
     if (Id == "corelib/counter_source")
       return OpKind::CounterSource;
+    if (Id == "corelib/source") {
+      // A generate userpoint wins over the pattern: keep the generic path.
+      const corelib::SourceState *S = corelib::sourceStateOf(*RT->Behavior);
+      return S && !S->HasGenerate ? OpKind::SourceGen : OpKind::Generic;
+    }
+    if (Id == "corelib/bool_source" &&
+        corelib::boolSourceStateOf(*RT->Behavior))
+      return OpKind::BoolSource;
     if (Id == "corelib/adder")
       return OpKind::Adder;
     if (Id == "corelib/fanout")
       return OpKind::Fanout;
     if (Id == "corelib/delay.tar" && RT->StateVars.lookup("held"))
       return OpKind::DelayEval;
+    if (Id == "corelib/reg" && RT->StateVars.lookup("held"))
+      return OpKind::RegEval;
+    if (Id == "corelib/queue" && RT->StateVars.lookup("occupancy") &&
+        corelib::queueStateOf(*RT->Behavior))
+      return OpKind::QueueEval;
     if (Id == "corelib/sink" && RT->StateVars.lookup("received"))
       return OpKind::Sink;
     return OpKind::Generic;
@@ -134,12 +156,12 @@ void KernelBuilderImpl::lowerGroup(size_t G) {
   Simulator::Runtime *RT =
       Group.size() == 1 ? Sim.Runtimes[size_t(Group.front())] : nullptr;
   O.Kind = RT ? classify(RT) : OpKind::Generic;
+  ++K.Stats.OpsByKind[unsigned(O.Kind)];
   if (O.Kind == OpKind::Generic) {
     ++K.Stats.NumGenericOps;
     return;
   }
   ++K.Stats.NumSpecializedOps;
-  O.RuntimeIdx = int32_t(Group.front());
   O.Path = &RT->Node->Path;
 
   O.Prep = append(Sim.netIds(RT->OutputNets));
@@ -155,11 +177,18 @@ void KernelBuilderImpl::lowerGroup(size_t G) {
     O.ImmB = nodeParamInt(RT->Node, "stride", 1);
     O.Out = appendConnected(RT, "out");
     break;
+  case OpKind::SourceGen:
+    O.Behavior.Source = corelib::sourceStateOf(*RT->Behavior);
+    O.Out = appendConnected(RT, "out");
+    break;
+  case OpKind::BoolSource:
+    O.Behavior.BoolSrc = corelib::boolSourceStateOf(*RT->Behavior);
+    O.Out = appendConnected(RT, "out");
+    break;
   case OpKind::Adder: {
     // Adder::evaluate reads in1[0] and in2[0] and writes out[0] only.
-    const int OutNet = portNet0(RT, "out");
     const int Ins[] = {portNet0(RT, "in1"), portNet0(RT, "in2")};
-    O.Out = append({&OutNet, OutNet >= 0 ? 1u : 0u});
+    O.Out = appendNet0(RT, "out");
     O.In = append(Ins);
     break;
   }
@@ -170,8 +199,15 @@ void KernelBuilderImpl::lowerGroup(size_t G) {
     break;
   }
   case OpKind::DelayEval:
+  case OpKind::RegEval:
     O.State = RT->StateVars.lookup("held");
     O.Out = appendConnected(RT, "out");
+    break;
+  case OpKind::QueueEval:
+    // Queue::evaluate sends on out[0] only.
+    O.State = RT->StateVars.lookup("occupancy");
+    O.Behavior.Queue = corelib::queueStateOf(*RT->Behavior);
+    O.Out = appendNet0(RT, "out");
     break;
   case OpKind::Sink:
     O.State = RT->StateVars.lookup("received");
@@ -203,6 +239,27 @@ void KernelBuilderImpl::lowerSeqOps() {
         S.InNet = portNet0(RT, "in");
         S.State = Held;
       }
+    } else if (Id == "corelib/reg") {
+      if (interp::Value *Held = RT->StateVars.lookup("held")) {
+        // Reg::endOfTimestep: an en port of width 0 always enables; else
+        // en[0] must carry a present true.
+        S.Kind = SeqKind::RegLatch;
+        S.InNet = portNet0(RT, "in");
+        S.State = Held;
+        S.CtlNet = RT->getWidth(RT->findPortId("en")) == 0
+                       ? CompiledKernel::AlwaysEnabled
+                       : portNet0(RT, "en");
+      }
+    } else if (Id == "corelib/queue") {
+      if (corelib::QueueState *Q = corelib::queueStateOf(*RT->Behavior)) {
+        S.Kind = SeqKind::QueueEot;
+        S.Queue = Q;
+        S.Path = &RT->Node->Path;
+        S.CtlNet = portNet0(RT, "stall");
+        // Every in[I] in index order, as the behavior reads them.
+        if (int Pid = RT->findPortId("in"); Pid >= 0)
+          S.In = append(Sim.netIds(RT->PortSlots[size_t(Pid)].Nets));
+      }
     }
   }
 }
@@ -224,15 +281,3 @@ std::unique_ptr<CompiledKernel> KernelBuilder::build(Simulator &Sim) {
   return K;
 }
 
-std::unique_ptr<CompiledKernel> KernelBuilder::load(Simulator &Sim,
-                                                    const std::string &Artifact) {
-  // The cached plan must be exactly what lowering this simulator produces
-  // (same groups, kinds, dense ids, in canonical form). This rejects
-  // artifacts from a different netlist/solution that happen to share the
-  // cache key, and any mutated entry the envelope checksum missed.
-  std::unique_ptr<CompiledKernel> K = build(Sim);
-  if (K->serialize() != Artifact)
-    return nullptr;
-  K->Stats.FromCache = true;
-  return K;
-}

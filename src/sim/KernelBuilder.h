@@ -2,19 +2,13 @@
 ///
 /// \file
 /// Lowers a constructed Simulator into a CompiledKernel (the compiled
-/// engine's flat cycle program), and rebuilds kernels from cached
-/// "LSSKRN 1" artifacts. Lowering classifies each schedule group: a
-/// singleton group whose behavior id names one of the devirtualized
+/// engine's flat cycle program). Lowering classifies each schedule group:
+/// a singleton group whose behavior id names one of the devirtualized
 /// corelib kinds (and whose port/state slots resolve) becomes a
 /// specialized op over dense net ids; everything else becomes a Generic
 /// op that delegates to Simulator::evaluateGroup, preserving fixpoint and
-/// diagnostic semantics exactly.
-///
-/// load() trusts nothing: it lowers the live simulator afresh and adopts
-/// the cached artifact only if it is byte-identical to that lowering's
-/// canonical serialization — any difference rejects the whole artifact
-/// and the caller falls back to the fresh build. Mutated kernel artifacts
-/// are a fuzz target (fuzz_cache).
+/// diagnostic semantics exactly. The sequential phase is classified the
+/// same way, per runtime.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +18,6 @@
 #include "sim/CompiledKernel.h"
 
 #include <memory>
-#include <string>
 
 namespace liberty {
 namespace sim {
@@ -37,12 +30,6 @@ public:
   /// its state slots) into a fresh kernel. Never fails: unrecognized
   /// groups lower to Generic ops.
   static std::unique_ptr<CompiledKernel> build(Simulator &Sim);
-
-  /// Adopts an "LSSKRN 1" artifact after revalidating it against \p Sim.
-  /// Returns null unless the artifact is exactly the canonical
-  /// serialization of \p Sim's lowering (the cache-miss path).
-  static std::unique_ptr<CompiledKernel> load(Simulator &Sim,
-                                              const std::string &Artifact);
 };
 
 } // namespace sim

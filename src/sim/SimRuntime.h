@@ -246,7 +246,8 @@ public:
 
   interp::Value &state(int StateId) override { return StateVars.slot(StateId); }
 
-  void emitEvent(const std::string &EventName, interp::Value Payload) override {
+  void emitEvent(const std::string &EventName,
+                 const interp::Value &Payload) override {
     if (Sim.Instr.empty())
       return;
     if (Sim.BufferEvents) {
@@ -256,7 +257,7 @@ public:
       BE.InstancePath = &Node->Path;
       BE.NameStore = EventName;
       BE.Cycle = Sim.Cycle;
-      BE.Payload = std::move(Payload);
+      BE.Payload = Payload;
       Buf->push_back(std::move(BE));
       return;
     }

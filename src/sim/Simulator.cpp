@@ -75,14 +75,6 @@ std::unique_ptr<Simulator> Simulator::build(netlist::Netlist &NL,
                                             SourceMgr &SM,
                                             DiagnosticEngine &Diags,
                                             Options Opts) {
-  return build(NL, SM, Diags, Opts, nullptr);
-}
-
-std::unique_ptr<Simulator> Simulator::build(netlist::Netlist &NL,
-                                            SourceMgr &SM,
-                                            DiagnosticEngine &Diags,
-                                            Options Opts,
-                                            const std::string *KernelArtifact) {
   // Normalize the legacy flags to the resolved engine so the construct()
   // paths (wavefront resources, selective summaries) and reported options
   // agree with what actually runs.
@@ -109,15 +101,11 @@ std::unique_ptr<Simulator> Simulator::build(netlist::Netlist &NL,
     return nullptr;
   Sim->reset();
   if (E == EngineKind::Compiled) {
-    // Lower after reset(): behavior init() has bound the state slots the
-    // kernel caches pointers to (slot identities survive later resets).
+    // Lower after reset(): behavior init() has bound the state slots and
+    // initialized the behavior state the kernel caches pointers to (both
+    // keep their identities across later resets).
     auto T0 = std::chrono::steady_clock::now();
-    if (KernelArtifact)
-      Sim->Kernel = KernelBuilder::load(*Sim, *KernelArtifact);
-    bool FromCache = Sim->Kernel != nullptr;
-    if (!Sim->Kernel)
-      Sim->Kernel = KernelBuilder::build(*Sim);
-    Sim->Kernel->Stats.FromCache = FromCache;
+    Sim->Kernel = KernelBuilder::build(*Sim);
     Sim->Kernel->Stats.BuildMs =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - T0)
@@ -128,13 +116,6 @@ std::unique_ptr<Simulator> Simulator::build(netlist::Netlist &NL,
 
 const KernelStats *Simulator::getKernelStats() const {
   return Kernel ? &Kernel->Stats : nullptr;
-}
-
-bool Simulator::serializeKernel(std::string &Out) const {
-  if (!Kernel)
-    return false;
-  Out = Kernel->serialize();
-  return true;
 }
 
 bool Simulator::construct() {
@@ -157,8 +138,10 @@ bool Simulator::construct() {
     if (!Conn->isFullyResolved())
       continue;
     const netlist::PortRef &F = Conn->From, &T = Conn->To;
-    // Endpoints whose port vanished or whose index exceeds the counted
-    // width were already diagnosed by elaboration; they have no node.
+    // Endpoints past a port's counted width have no node: elaboration
+    // warned about each (Interpreter::resolveSelfEndpoint). An endpoint
+    // on a missing port is never resolved (an elaboration error), so it
+    // fails isFullyResolved() above.
     if (F.PortIdx < 0 || T.PortIdx < 0 ||
         F.Index >= F.Inst->Ports[size_t(F.PortIdx)].Width ||
         T.Index >= T.Inst->Ports[size_t(T.PortIdx)].Width)
@@ -236,8 +219,13 @@ bool Simulator::construct() {
       RT->PortSlots = {FirstSlot, Inst->Ports.size()};
       LeafRuntimes.push_back(Runtimes.size());
     }
-    // Compile userpoints.
+    // Compile userpoints. An empty body (the library default of an
+    // optional userpoint such as source.generate) is bound away here: it
+    // would run nothing and return Unset, which is exactly what calling a
+    // userpoint the instance lacks does.
     for (const auto &[Name, UV] : Inst->Userpoints) {
+      if (UV.Code.find_first_not_of(" \t\r\n\f\v") == std::string::npos)
+        continue;
       Runtime::CompiledUserpoint CU;
       CU.Sig = UV.Sig;
       CU.Prog = bsl::BslProgram::compile(

@@ -141,14 +141,6 @@ public:
   static std::unique_ptr<Simulator> build(netlist::Netlist &NL, SourceMgr &SM,
                                           DiagnosticEngine &Diags,
                                           Options Opts);
-  /// As above, additionally offering a cached "LSSKRN 1" kernel artifact
-  /// to adopt when the compiled engine is selected (null = build fresh).
-  /// A rejected artifact silently falls back to a fresh lowering —
-  /// getKernelStats()->FromCache reports what happened.
-  static std::unique_ptr<Simulator> build(netlist::Netlist &NL, SourceMgr &SM,
-                                          DiagnosticEngine &Diags,
-                                          Options Opts,
-                                          const std::string *KernelArtifact);
 
   ~Simulator();
 
@@ -168,13 +160,9 @@ public:
   /// The engine build() resolved (never Auto).
   EngineKind getEngine() const { return ResolvedEngine; }
   const char *getEngineName() const { return engineName(ResolvedEngine); }
-  /// Kernel provenance and op counts; null unless the compiled engine is
+  /// Kernel shape and build time; null unless the compiled engine is
   /// active.
   const KernelStats *getKernelStats() const;
-  /// Renders the compiled kernel as its byte-stable "LSSKRN 1" artifact
-  /// for caching; returns false (leaving \p Out untouched) unless the
-  /// compiled engine is active.
-  bool serializeKernel(std::string &Out) const;
 
   /// The value most recently driven on (instance path, output port, index),
   /// or null if none was sent this cycle / the node does not exist.
@@ -378,8 +366,8 @@ private:
 /// The engine build() runs for \p O (never Auto). An explicit kind wins;
 /// Auto gives Wavefront when Jobs > 1, else Compiled when Selective is set
 /// (the default Options{}), else Interp. Callers that must agree with the
-/// simulator about the engine (the kernel-caching phase of
-/// driver/CompileService) use this instead of reading Options::Engine.
+/// simulator about the engine use this instead of reading
+/// Options::Engine.
 EngineKind resolveEngine(const Simulator::Options &O);
 
 } // namespace sim

@@ -8,7 +8,9 @@
 /// so the exact user-facing text is pinned. Sync-point coverage: `;`
 /// recovery, `}` recovery, decl-keyword recovery, the ensureProgress
 /// guard, the nesting-depth cap, the shared --max-errors limit, inference
-/// budget exhaustion, and the simulator's fixpoint watchdog.
+/// budget exhaustion, and the simulator's fixpoint watchdog. One case pins
+/// a warning on otherwise valid input instead: an internal connection
+/// past its port's counted width.
 ///
 /// Run the binary with --regen-golden to rewrite the fixtures after an
 /// intentional diagnostic change.
@@ -213,6 +215,43 @@ instance q:no_such_module;
   Inv.Elab.MaxSteps = 10000;
   EXPECT_FALSE(C.elaborate(Inv));
   expectRecovered(C, "elab_runaway");
+}
+
+TEST(Diagnostics, EndpointBeyondPortWidthWarns) {
+  // `pair` uses its own inport twice, but the top level connects it once,
+  // so in has width 1 and the second use (in[1]) has no port instance.
+  // Unconnected port instances are legal (Section 4.2): the compile and
+  // the simulator build succeed, with one warning naming the endpoint at
+  // the connection and a note at the port declaration. The loop repeats
+  // one statement past the width and warns once for it.
+  SCOPED_TRACE("beyond_width");
+  auto C = driver::Compiler::compileForSim("beyond_width.lss",
+                                           R"(module pair {
+  inport in: int;
+  outport out: int;
+  instance a:adder;
+  in -> a.in1;
+  in -> a.in2;
+  var ks:instance ref[];
+  ks = new instance[3](sink, "k");
+  var i:int;
+  for (i = 0; i < 3; i = i + 1) {
+    in -> ks[i].in;
+  }
+  a.out -> out;
+};
+instance k:const_source;
+instance p:pair;
+instance s:sink;
+k.out -> p.in;
+p.out -> s.in;
+)");
+  ASSERT_NE(C, nullptr);
+  EXPECT_FALSE(C->getDiags().hasErrors());
+  C->getSimulator()->step(2);
+  EXPECT_EQ(C->getSimulator()->peekPort("p.a", "out", 0), nullptr)
+      << "the adder's in2 endpoint was dropped, so it never fires";
+  checkGolden("beyond_width", renderDiags(*C));
 }
 
 //===--------------------------------------------------------------------===//

@@ -233,6 +233,91 @@ TEST(ValueCow, ConcurrentCopiesOfOneSharedValue) {
 }
 
 //===----------------------------------------------------------------------===//
+// O(1) equality on shared payloads (the Reflexive bit)
+//===----------------------------------------------------------------------===//
+
+TEST(ValueEquality, SharedPayloadWithNaNIsNotEqualToItself) {
+  const double NaN = std::nan("");
+  Value S = Value::makeStruct(
+      {{"pc", Value::makeInt(4)}, {"x", Value::makeFloat(NaN)}});
+  Value SCopy = S;
+  EXPECT_FALSE(S.equals(SCopy));
+  EXPECT_FALSE(S.equals(S));
+  Value A = Value::makeArray({Value::makeInt(1), Value::makeFloat(NaN)});
+  Value ACopy = A;
+  EXPECT_FALSE(A.equals(ACopy));
+  EXPECT_FALSE(Value::makeFloat(NaN).equals(Value::makeFloat(NaN)));
+  // Without a NaN, sharing one payload is equality.
+  Value T = Value::makeStruct(
+      {{"pc", Value::makeInt(4)}, {"x", Value::makeFloat(0.5)}});
+  Value TCopy = T;
+  EXPECT_TRUE(T.equals(TCopy));
+  Value Str = Value::makeString("s");
+  EXPECT_TRUE(Str.equals(Value(Str)));
+}
+
+TEST(ValueEquality, UnsharedPayloadComparesElementWise) {
+  // A payload handed out through a mutable accessor may have been given a
+  // NaN, so it loses the bit and compares element-wise from then on.
+  Value S = Value::makeStruct({{"x", Value::makeFloat(1.5)}});
+  Value T = S;
+  T.getFieldsMutable()[0].second = Value::makeFloat(std::nan(""));
+  Value TCopy = T;
+  EXPECT_FALSE(T.equals(TCopy));
+  EXPECT_FALSE(T.equals(T));
+  EXPECT_TRUE(S.equals(Value(S))) << "the original keeps its bit";
+  // Exclusive payload (no unsharing copy): the bit is cleared all the same.
+  Value A = Value::makeArray({Value::makeFloat(2.0)});
+  A.getElemsMutable()[0] = Value::makeFloat(std::nan(""));
+  EXPECT_FALSE(A.equals(Value(A)));
+  // ...and a cleared bit on a NaN-free payload still compares equal.
+  Value B = Value::makeArray({Value::makeInt(3)});
+  B.getElemsMutable()[0] = Value::makeInt(4);
+  Value BCopy = B;
+  EXPECT_TRUE(B.equals(BCopy));
+  Value P = Value::makeStruct({{"y", Value::makeInt(1)}});
+  *P.getFieldMutable("y") = Value::makeFloat(std::nan(""));
+  EXPECT_FALSE(P.equals(Value(P)));
+}
+
+TEST(ValueEquality, ZeroEqualsNegativeZero) {
+  EXPECT_TRUE(Value::makeFloat(0.0).equals(Value::makeFloat(-0.0)));
+  EXPECT_FALSE(Value::makeFloat(0.0).identical(Value::makeFloat(-0.0)));
+  EXPECT_TRUE(Value::makeArray({Value::makeFloat(0.0)})
+                  .equals(Value::makeArray({Value::makeFloat(-0.0)})));
+  EXPECT_TRUE(Value::makeStruct({{"z", Value::makeFloat(-0.0)}})
+                  .equals(Value::makeStruct({{"z", Value::makeFloat(0.0)}})));
+}
+
+TEST(ValueEquality, NestedArraysOfStructsSetTheBit) {
+  auto Uop = [](Value X) {
+    return Value::makeStruct({{"op", Value::makeInt(2)}, {"x", X}});
+  };
+  Value Clean = Value::makeArray(
+      {Value::makeArray({Uop(Value::makeFloat(1.0))}),
+       Value::makeArray({Uop(Value::makeInt(7))})});
+  EXPECT_TRUE(Clean.equals(Value(Clean)));
+  // A NaN two levels down clears the bit on every enclosing payload.
+  Value Deep = Value::makeArray(
+      {Value::makeArray({Uop(Value::makeFloat(1.0))}),
+       Value::makeArray({Uop(Value::makeFloat(std::nan("")))})});
+  EXPECT_FALSE(Deep.equals(Value(Deep)));
+  EXPECT_FALSE(Deep.getElems()[1].equals(Value(Deep.getElems()[1])));
+  EXPECT_TRUE(Deep.getElems()[0].equals(Value(Deep.getElems()[0])));
+  // An element whose bit was cleared by a write before it was wrapped
+  // keeps the outer payload element-wise too.
+  Value Inner = Uop(Value::makeFloat(1.0));
+  Inner.getFieldsMutable()[1].second = Value::makeFloat(std::nan(""));
+  Value Outer = Value::makeArray({Inner});
+  EXPECT_FALSE(Outer.equals(Value(Outer)));
+  // Writing through the outer payload clears it as well.
+  Value Outer2 = Value::makeArray({Uop(Value::makeFloat(1.0))});
+  Outer2.getElemsMutable()[0].getFieldsMutable()[1].second =
+      Value::makeFloat(std::nan(""));
+  EXPECT_FALSE(Outer2.equals(Value(Outer2)));
+}
+
+//===----------------------------------------------------------------------===//
 // Operator semantics (shared by LSS and BSL)
 //===----------------------------------------------------------------------===//
 

@@ -11,10 +11,7 @@
 #      code cold and warm — and identical to a --no-cache run;
 #   2. the warm run really was served from the cache (stats JSON reports
 #      elab_from_cache/solution_from_cache true and zero misses);
-#   3. the compiled engine (--sim-engine compiled) is just as transparent:
-#      cold and warm stdout are byte-identical, and the warm run reloads
-#      the LSSKRN kernel artifact (stats JSON kernel_from_cache true);
-#   4. a failing compile diagnoses identically on both runs (failures are
+#   3. a failing compile diagnoses identically on both runs (failures are
 #      never cached, so the second run must re-diagnose, not replay).
 #
 # Exits non-zero with one line per violation.
@@ -64,29 +61,7 @@ grep -q '"misses": 0' "$TMP/r2.json" ||
 grep -q '"elab_from_cache": false' "$TMP/r1.json" ||
   fail "cold run unexpectedly hit the cache"
 
-# --- 3. Compiled engine: kernel artifact caching is transparent too. ----
-# A fresh cache dir so the kernel build is genuinely cold; the kernel is a
-# third artifact kind (LSSKRN) keyed off the elaboration key.
-# shellcheck disable=SC2086
-"$LSSC" $FLAGS --sim-engine compiled --cache-dir "$TMP/kcache" \
-  --stats-json "$TMP/k1.json" $MODEL >"$TMP/kout1" 2>"$TMP/kerr1"
-KRC1=$?
-# shellcheck disable=SC2086
-"$LSSC" $FLAGS --sim-engine compiled --cache-dir "$TMP/kcache" \
-  --stats-json "$TMP/k2.json" $MODEL >"$TMP/kout2" 2>"$TMP/kerr2"
-KRC2=$?
-[ "$KRC1" -eq 0 ] || fail "cold compiled-engine run failed (exit $KRC1)"
-[ "$KRC2" -eq 0 ] || fail "warm compiled-engine run failed (exit $KRC2)"
-cmp -s "$TMP/kout1" "$TMP/kout2" ||
-  fail "compiled-engine warm stdout differs from cold stdout"
-grep -q '"kernel_from_cache": false' "$TMP/k1.json" ||
-  fail "cold compiled-engine run unexpectedly reloaded a kernel"
-grep -q '"kernel_from_cache": true' "$TMP/k2.json" ||
-  fail "warm compiled-engine run did not reload the kernel from the cache"
-ls "$TMP/kcache"/*.kernel.lssart >/dev/null 2>&1 ||
-  fail "no .kernel.lssart artifact written to the cache directory"
-
-# --- 4. Failing compiles re-diagnose identically (and are not cached). --
+# --- 3. Failing compiles re-diagnose identically (and are not cached). --
 cat >"$TMP/bad.lss" <<'EOF'
 instance g:counter_source;
 instance s:sink;

@@ -866,7 +866,6 @@ int main(int Argc, char **Argv) {
     CacheRep.Stats = Svc.getCache().getStats();
     CacheRep.ElabFromCache = R.ElabFromCache;
     CacheRep.SolutionFromCache = R.SolutionFromCache;
-    CacheRep.KernelFromCache = R.KernelFromCache;
     return &CacheRep;
   };
 
@@ -955,9 +954,9 @@ int main(int Argc, char **Argv) {
                  (unsigned long long)A.GroupsEvaluated,
                  (unsigned long long)A.GroupsSkipped,
                  (unsigned long long)A.LeafEvals);
-    // Cache status and build time stay out of the human line so stdout is
+    // The kernel build time stays out of the human line so stdout is
     // byte-identical cold vs. warm (see tools/check_cache_stability.sh);
-    // both are reported in --stats-json.
+    // it is reported in --stats-json.
     if (const sim::KernelStats *KS = Sim->getKernelStats())
       std::fprintf(HumanFile,
                    "kernel: %u ops (%u specialized, %u generic), %u seq ops "
